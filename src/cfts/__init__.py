@@ -23,7 +23,14 @@ from .errors import (
     QuadratureNonConvergence,
     RegressivityViolation,
 )
-from .fractional import CFOrder, cf_delta_left, cf_delta_right, cf_integral, cf_limit_check
+from .fractional import (
+    CFOrder,
+    cf_delta_left,
+    cf_delta_left_prefix,
+    cf_delta_right,
+    cf_integral,
+    cf_limit_check,
+)
 from .linear import (
     LinearCFProblem,
     classical_trajectory,
@@ -81,6 +88,7 @@ __all__ = [
     "TimeScale",
     "UniformGrid",
     "cf_delta_left",
+    "cf_delta_left_prefix",
     "cf_delta_right",
     "cf_integral",
     "cf_limit_check",

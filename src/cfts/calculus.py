@@ -131,9 +131,7 @@ def delta_integral(ts: TimeScale, f: Signal, a: float, b: float,
 
 
 def _trapezoid_on_mesh(ts: TimeScale, f: Sampled, atom: DenseAtom) -> float:
-    pts = [atom.lo]
-    pts += [m for m in f.mesh if atom.lo < m < atom.hi]
-    pts.append(atom.hi)
+    pts = [atom.lo, *f.between(atom.lo, atom.hi), atom.hi]
     vals = [value(f, ts, p) for p in pts]
     return sum(0.5 * (v0 + v1) * (p1 - p0)
                for p0, p1, v0, v1 in zip(pts, pts[1:], vals, vals[1:]))

@@ -7,9 +7,13 @@ alpha/(alpha - 1) <= 0`` and the left-sided derivative of f over [a, t] is
 
 the Caputo--Fabrizio construction carried to an arbitrary time scale: the
 first-order delta derivative convolved with the time-scale exponential.
-The right-sided operator integrates over [t, b] and needs reciprocal
-kernel values.  The fractional integral of order alpha is the weighted
-average (1-alpha)/M * u(t) + alpha/M * integral_0^t u.
+By the semigroup identity e(t1, s) = e(t1, t0) e(t0, s) (Bohner & Peterson,
+Dynamic Equations on Time Scales, 2001, Thm 2.36) its values at every
+point of a mesh come from one forward march over the atoms
+(``cf_delta_left_prefix``); the single-point ``cf_delta_left`` is that
+march on the mesh (a, t).  The right-sided operator integrates over [t, b]
+and needs reciprocal kernel values.  The fractional integral of order alpha
+is the weighted average (1-alpha)/M * u(t) + alpha/M * integral_0^t u.
 """
 
 from __future__ import annotations
@@ -20,8 +24,8 @@ from typing import Sequence
 
 from .calculus import QUAD_TOL, _kills, _quad, delta_derivative, delta_integral
 from .errors import DomainError, NonRegressiveKernel
-from .signals import Closure, Sampled, Signal, value
-from .timescale import DenseAtom, ScatteredAtom, TimeScale, UniformGrid
+from .signals import Closure, Signal, value
+from .timescale import ScatteredAtom, TimeScale, UniformGrid
 
 
 @dataclass(frozen=True)
@@ -50,12 +54,6 @@ class CFOrder:
     def front_factor(self) -> float:
         """M(alpha)/(1-alpha)."""
         return self.m_alpha / (1.0 - self.alpha)
-
-
-def _span_in_single_grid(ts: TimeScale, a: float, t: float) -> bool:
-    ia, _ = ts._locate(a)
-    it, _ = ts._locate(t)
-    return ia == it and isinstance(ts.segments[ia], UniformGrid)
 
 
 def _f_delta_scattered(ts: TimeScale, f: Signal, tau: float, mu: float) -> float:
@@ -93,12 +91,86 @@ def _dense_weighted(ts: TimeScale, f: Signal, lo: float, hi: float, rate: float,
         return bdry + rate * _quad(fn, lo, hi, tol,
                                    points=_kernel_breakpoints(lo, hi, -rate))
     # Sampled: exact cell increments weighted by the midpoint kernel value.
-    pts = [lo] + [m for m in f.mesh if lo < m < hi] + [hi]
+    pts = [lo, *f.between(lo, hi), hi]
     total = 0.0
     for p0, p1 in zip(pts, pts[1:]):
         dv = value(f, ts, p1) - value(f, ts, p0)
         total += dv * math.exp(rate * (anchor - 0.5 * (p0 + p1)))
     return total
+
+
+def cf_delta_left_prefix(ts: TimeScale, f: Signal, mesh: Sequence[float],
+                         order: CFOrder, tol: float | None = None) -> list[float]:
+    """Left-sided fractional delta derivative of f over [mesh[0], t] at
+    every point t of an increasing mesh, in one forward march.
+
+    With S(t) = integral_a^t f^delta(tau) e_{alpha_bar}(t, sigma(tau)) dtau,
+    the semigroup identity e(s1, tau) = e(s1, s0) e(s0, tau) gives
+    S(s1) = e(s1, s0) S(s0) + (contribution of [s0, s1)), where the factor
+    is 1 + mu*alpha_bar over a scattered point and exp(alpha_bar*len) over
+    a dense piece.  The atoms of [mesh[0], mesh[-1]) are walked once, dense
+    runs split at mesh points, and front_factor * S is emitted at each mesh
+    point, so a whole column costs O(n) instead of O(n^2).
+
+    At alpha = 0 the values are exactly f(t) - f(a).  A degenerate kernel
+    (1 + mu*alpha_bar = 0) is allowed while the span [a, t) lies in one
+    uniform grid, with the usual 0**0 = 1 convention; NonRegressiveKernel
+    is raised at the first mesh point whose hybrid span contains one,
+    instead of silently discarding the history before it.
+    """
+    tol = QUAD_TOL if tol is None else tol
+    mesh = [ts.snap(t) for t in mesh]
+    if not mesh:
+        raise DomainError("the mesh needs at least one point")
+    if any(t1 <= t0 for t0, t1 in zip(mesh, mesh[1:])):
+        raise DomainError("the mesh must be strictly increasing")
+    a = mesh[0]
+    if order.alpha == 0.0:
+        f_a = value(f, ts, a)
+        return [value(f, ts, t) - f_a for t in mesh]
+    rate, front = order.alpha_bar, order.front_factor
+    atoms = ts.atoms(a, mesh[-1])
+    ends = [x.t if isinstance(x, ScatteredAtom) else x.lo for x in atoms[1:]]
+    ends.append(mesh[-1])
+    seg = ts.segments[ts._locate(a)[0]]
+    # [a, t] lies in one uniform grid iff t <= grid_hi
+    grid_hi = seg.hi if isinstance(seg, UniformGrid) else a
+    out = [0.0]
+    k = 1           # next mesh index to emit
+    S = 0.0         # S(pos), pos marching from a up to mesh[-1]
+    killed = False  # a degenerate kernel factor lies in [a, pos)
+
+    def emit(t: float) -> None:
+        if killed and t > grid_hi:
+            raise NonRegressiveKernel(
+                f"graininess equals (1-alpha)/alpha = "
+                f"{(1 - order.alpha) / order.alpha:g} inside a hybrid span")
+        out.append(front * S)
+
+    f_pos = value(f, ts, a) if atoms else 0.0
+    for atom, end in zip(atoms, ends):
+        if isinstance(atom, ScatteredAtom):
+            killed = killed or _kills(atom.mu, rate)
+            f_end = value(f, ts, end)
+            fd = (f_end - f_pos) / atom.mu
+            S = (1.0 + atom.mu * rate) * S + atom.mu * fd
+            f_pos = f_end
+        else:
+            p0 = atom.lo
+            while mesh[k] < end:
+                p1 = mesh[k]
+                S = (math.exp(rate * (p1 - p0)) * S
+                     + _dense_weighted(ts, f, p0, p1, rate, p1, tol))
+                emit(p1)
+                k += 1
+                p0 = p1
+            S = (math.exp(rate * (end - p0)) * S
+                 + _dense_weighted(ts, f, p0, end, rate, end, tol))
+            f_pos = value(f, ts, end)
+        if mesh[k] == end:
+            emit(end)
+            k += 1
+    return out
 
 
 def cf_delta_left(ts: TimeScale, f: Signal, a: float, t: float, order: CFOrder,
@@ -113,39 +185,14 @@ def cf_delta_left(ts: TimeScale, f: Signal, a: float, t: float, order: CFOrder,
     with the usual 0**0 = 1 convention, so a degenerate kernel
     (1 + h*alpha_bar = 0) is allowed there; on hybrid spans a graininess
     equal to (1-alpha)/alpha raises NonRegressiveKernel instead of silently
-    discarding the history before it.
+    discarding the history before it.  This is the last value of
+    ``cf_delta_left_prefix`` on the mesh (a, t).
     """
-    tol = QUAD_TOL if tol is None else tol
     a = ts.snap(a)
     t = ts.snap(t)
     if t < a:
         raise DomainError(f"need a <= t, got a={a}, t={t}")
-    if order.alpha == 0.0:
-        return value(f, ts, t) - value(f, ts, a)
-    if t == a:
-        return 0.0
-    rate = order.alpha_bar
-    atoms = ts.atoms(a, t)
-    degenerate = any(isinstance(x, ScatteredAtom) and _kills(x.mu, rate)
-                     for x in atoms)
-    if degenerate and not _span_in_single_grid(ts, a, t):
-        raise NonRegressiveKernel(
-            f"graininess equals (1-alpha)/alpha = {(1 - order.alpha) / order.alpha:g} "
-            "inside a hybrid span")
-    total = 0.0
-    kernel = 1.0  # e_{alpha_bar}(t, pos), marching pos from t down to a
-    for atom in reversed(atoms):
-        if isinstance(atom, ScatteredAtom):
-            if kernel != 0.0:
-                fd = _f_delta_scattered(ts, f, atom.t, atom.mu)
-                total += atom.mu * fd * kernel
-            kernel *= 1.0 + atom.mu * rate
-        else:
-            if kernel != 0.0:
-                total += kernel * _dense_weighted(ts, f, atom.lo, atom.hi,
-                                                  rate, atom.hi, tol)
-            kernel *= math.exp(rate * atom.length)
-    return order.front_factor * total
+    return cf_delta_left_prefix(ts, f, [a, t] if t > a else [a], order, tol)[-1]
 
 
 def cf_delta_right(ts: TimeScale, f: Signal, t: float, b: float, order: CFOrder,

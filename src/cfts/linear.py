@@ -20,18 +20,20 @@ satisfy the start-up compatibility u(0) + lambda*x0 = 0 (the operator of
 any function vanishes at t = 0, so the equation at t = 0 forces this).
 For incompatible data the formula carries the parasitic residual
 C * (e_{alpha_bar}(t,0)/(1-alpha) - lambda) with
-C = (1 - 1/K) x0 - ((1-alpha)/K) u(0); ``residual_linear`` reports it
-faithfully.
+C = (1 - 1/K) x0 - ((1-alpha)/K) u(0); the residual reports it faithfully.
+``residual_linear_mesh`` evaluates the residual over a whole mesh in one
+forward kernel march (O(n)); ``residual_linear`` is its single-point form.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Sequence
 
 from .calculus import QUAD_TOL, _kills, _quad, delta_derivative, exp_ts
 from .errors import DomainError, NotRegressive
-from .fractional import CFOrder, cf_delta_left
+from .fractional import CFOrder, cf_delta_left_prefix
 from .signals import Closure, Sampled, Signal, as_signal, value
 from .timescale import DenseAtom, ScatteredAtom, TimeScale
 
@@ -87,7 +89,7 @@ def _u_run_integral(ts: TimeScale, u: Signal, lo: float, hi: float, p: float,
     """integral_lo^hi u(tau) exp(p*(hi - tau)) dtau over one dense run."""
     if isinstance(u, Closure):
         return _quad(lambda tau: u.func(tau) * math.exp(p * (hi - tau)), lo, hi, tol)
-    pts = [lo] + [m for m in u.mesh if lo < m < hi] + [hi]
+    pts = [lo, *u.between(lo, hi), hi]
     total = 0.0
     for p0, p1 in zip(pts, pts[1:]):
         um = 0.5 * (value(u, ts, p0) + value(u, ts, p1))
@@ -162,13 +164,26 @@ def solve_linear_trajectory(prob: LinearCFProblem, horizon: float | None = None,
     return Sampled(mesh, tuple(xs))
 
 
+def residual_linear_mesh(prob: LinearCFProblem, x: Signal, mesh: Sequence[float],
+                         tol: float | None = None) -> list[float]:
+    """Defect D^(alpha) x (t) - lambda*x(t) - u(t) at every point of an
+    increasing mesh starting at 0, from one forward kernel march."""
+    ts = prob.ts
+    mesh = [ts.snap(t) for t in mesh]
+    if mesh and mesh[0] != ts.snap(0.0):
+        raise DomainError("the residual mesh must start at t = 0")
+    lhs = cf_delta_left_prefix(ts, x, mesh, prob.order, tol)
+    return [d - prob.lam * value(x, ts, t) - value(prob.u, ts, t)
+            for d, t in zip(lhs, mesh)]
+
+
 def residual_linear(prob: LinearCFProblem, x: Signal, t: float,
                     tol: float | None = None) -> float:
-    """Defect D^(alpha) x (t) - lambda*x(t) - u(t), via the operator module."""
-    ts = prob.ts
-    t = ts.snap(t)
-    lhs = cf_delta_left(ts, x, 0.0, t, prob.order, tol)
-    return lhs - prob.lam * value(x, ts, t) - value(prob.u, ts, t)
+    """Defect D^(alpha) x (t) - lambda*x(t) - u(t) at a single point t >= 0."""
+    zero = prob.ts.snap(0.0)
+    t = prob.ts.snap(t)
+    mesh = (zero, t) if t != zero else (zero,)
+    return residual_linear_mesh(prob, x, mesh, tol)[-1]
 
 
 def classical_trajectory(ts: TimeScale, lam: float, u, x0: float,

@@ -11,16 +11,20 @@ and N is a contraction in the sup norm with constant
 q = ((1-alpha) + alpha*(b-a)) * L whenever q < 1, L a Lipschitz bound of f
 in x.  Successive substitution from the constant start iterate then
 converges geometrically to the unique fixed point.
+
+``residual_nonlinear_mesh`` re-checks a solution over its whole mesh in one
+forward kernel march; since the operator vanishes at a, its first entry is
+-f(a, x0).
 """
 
 from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Sequence
 
 from .errors import DomainError, MaxIterationsExceeded, NotContractive
-from .fractional import CFOrder, cf_delta_left
+from .fractional import CFOrder, cf_delta_left_prefix
 from .signals import Sampled, Signal, value
 from .timescale import TimeScale
 
@@ -150,10 +154,22 @@ def _sample_lipschitz(prob: NonlinearCFProblem, mesh, first_norm: float,
             f"{prob.lipschitz_l:g}", stacklevel=3)
 
 
+def residual_nonlinear_mesh(prob: NonlinearCFProblem, x: Signal,
+                            mesh: Sequence[float],
+                            tol: float | None = None) -> list[float]:
+    """Defect D^(alpha)_a x (t) - f(t, x(t)) at every point of an increasing
+    mesh starting at a, from one forward kernel march."""
+    ts = prob.ts
+    mesh = [ts.snap(t) for t in mesh]
+    if mesh and mesh[0] != prob.a:
+        raise DomainError(f"the residual mesh must start at a = {prob.a}")
+    lhs = cf_delta_left_prefix(ts, x, mesh, prob.order, tol)
+    return [d - prob.rhs(t, value(x, ts, t)) for d, t in zip(lhs, mesh)]
+
+
 def residual_nonlinear(prob: NonlinearCFProblem, x: Signal, t: float,
                        tol: float | None = None) -> float:
-    """Defect D^(alpha)_a x (t) - f(t, x(t)) via the operator module."""
-    ts = prob.ts
-    t = ts.snap(t)
-    lhs = cf_delta_left(ts, x, prob.a, t, prob.order, tol)
-    return lhs - prob.rhs(t, value(x, ts, t))
+    """Defect D^(alpha)_a x (t) - f(t, x(t)) at a single point t >= a."""
+    t = prob.ts.snap(t)
+    mesh = (prob.a, t) if t != prob.a else (prob.a,)
+    return residual_nonlinear_mesh(prob, x, mesh, tol)[-1]

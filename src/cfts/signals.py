@@ -7,7 +7,7 @@ values on a mesh and interpolates linearly inside continuous intervals.
 
 from __future__ import annotations
 
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from typing import Callable, Union
 
@@ -49,6 +49,10 @@ class Sampled:
         if i < len(self.mesh) and abs(self.mesh[i] - t) <= _atol(t):
             return i
         raise PointNotInTimeScale(f"t={t!r} is not a mesh point")
+
+    def between(self, lo: float, hi: float) -> tuple[float, ...]:
+        """Mesh points m with lo < m < hi, found by bisection."""
+        return self.mesh[bisect_right(self.mesh, lo):bisect_left(self.mesh, hi)]
 
 
 Signal = Union[Closure, Sampled]

@@ -170,3 +170,16 @@ def test_exp_solves_its_equation_at_scattered_points(ts, p):
             lhs = delta_derivative(ts, e, t)
             rhs = p * e.func(t)
             assert lhs == pytest.approx(rhs, rel=1e-12, abs=1e-13)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.floats(-10.0, 10.0), min_size=1, max_size=30, unique=True),
+       st.floats(-11.0, 11.0), st.floats(-11.0, 11.0))
+def test_sampled_between_equals_the_full_scan(points, lo, hi):
+    mesh = tuple(sorted(points))
+    sig = Sampled(mesh, mesh)
+    want = tuple(m for m in mesh if lo < m < hi)
+    assert sig.between(lo, hi) == want
+    for m in mesh:  # bounds that are mesh points themselves
+        assert sig.between(m, hi) == tuple(x for x in mesh if m < x < hi)
+        assert sig.between(lo, m) == tuple(x for x in mesh if lo < x < m)

@@ -115,6 +115,17 @@ class TestSimulate:
         assert max(abs(float(r["residual"])) for r in rows) < 1e-8
         assert "warning" not in capsys.readouterr().err
 
+    def test_grid_through_zero_off_lattice(self, tmp_path, capsys):
+        # the grid's point nearest 0 is -0.3 + 3*0.1 = 5.55e-17, not 0.0
+        cfg = tmp_path / "neg.config"
+        cfg.write_text(LINEAR_CONFIG.replace("grid 0 1 31", "grid -0.3 0.1 10")
+                       .replace("steps 30", "steps 5").replace("demo", "neg"))
+        assert main(["simulate", str(cfg), "--out", str(tmp_path)]) == 0
+        rows = _read(tmp_path / "neg_alpha0.5.csv")
+        assert len(rows) == 6
+        assert max(abs(float(r["residual"])) for r in rows) < 1e-8
+        assert "warning" not in capsys.readouterr().err
+
     def test_incompatible_data_warns_but_writes(self, tmp_path, capsys):
         cfg = tmp_path / "inc.config"
         cfg.write_text(LINEAR_CONFIG.replace("x0 = -5", "x0 = 0")
@@ -200,6 +211,18 @@ class TestSolveNonlinear:
         assert "iterations=" in report
         out = capsys.readouterr().out
         assert "final_defect=" in out
+
+    def test_incompatible_start_names_the_nonlinear_condition(self, tmp_path, capsys):
+        # f(a, x0) = 0.2*0 + 1 != 0, so the residual at t = a is -1
+        cfg = tmp_path / "fp.config"
+        cfg.write_text(NONLINEAR_CONFIG.replace("x0 = -5", "x0 = 0"))
+        assert main(["solve-nonlinear", str(cfg), "--out", str(tmp_path)]) == 0
+        err = capsys.readouterr().err
+        assert "warning: fp alpha=0.25" in err
+        assert "f(a, x0) = 0" in err
+        assert "lambda" not in err
+        rows = _read(tmp_path / "fp_alpha0.25.csv")
+        assert float(rows[0]["residual"]) == -1.0
 
     def test_zero_rhs_single_iteration(self, tmp_path):
         cfg = tmp_path / "z.config"

@@ -1,15 +1,28 @@
+import ast
 import math
 import random
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cfts.calculus import delta_derivative, delta_integral
 from cfts.errors import DomainError, NonRegressiveKernel
-from cfts.fractional import CFOrder, cf_delta_left, cf_delta_right, cf_integral, cf_limit_check
+from cfts.fractional import (
+    CFOrder,
+    cf_delta_left,
+    cf_delta_left_prefix,
+    cf_delta_right,
+    cf_integral,
+    cf_limit_check,
+)
+from cfts.linear import LinearCFProblem, residual_linear_mesh, solve_linear_trajectory
 from cfts.signals import Closure, Sampled, constant
 from cfts.timescale import ContinuousInterval, TimeScale, UniformGrid
 
 from .oracles import oracle_cf_delta_discrete, oracle_cf_delta_interval, oracle_cf_integral_discrete
+from .test_timescale import timescales
 
 Z = TimeScale.integers(0, 30)
 I01 = TimeScale.interval(0.0, 1.0)
@@ -118,6 +131,112 @@ class TestLeftDerivative:
     def test_domain_validation(self):
         with pytest.raises(DomainError):
             cf_delta_left(Z, IDENT, 5.0, 3.0, CFOrder(0.5))
+
+
+class TestLeftPrefix:
+    """The one-march column form against the oracle and the single-point form."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.integers(2, 40), st.floats(0.05, 0.95), st.booleans(),
+           st.sampled_from([0.1, 0.25, 0.5, 1.0]), st.data())
+    def test_matches_discrete_oracle_on_grids(self, n, alpha, degenerate, h, data):
+        if degenerate:  # 1 + h*alpha_bar == 0: every older increment dies
+            h = (1.0 - alpha) / alpha
+        samples = data.draw(st.lists(st.floats(-3.0, 3.0), min_size=n + 1,
+                                     max_size=n + 1))
+        a_i = data.draw(st.integers(0, n - 1))
+        ts = TimeScale.grid(0.0, h, n + 1)
+        sig = Sampled(ts.mesh(0.0, ts.t_max), tuple(samples))
+        got = cf_delta_left_prefix(ts, sig, sig.mesh[a_i:], CFOrder(alpha))
+        assert len(got) == n + 1 - a_i
+        for t_i, g in zip(range(a_i, n + 1), got):
+            want = oracle_cf_delta_discrete(samples, h, alpha, a_i, t_i)
+            assert g == pytest.approx(want, rel=1e-12, abs=1e-12)
+
+    @settings(max_examples=60, deadline=None)
+    @given(timescales(), st.one_of(st.just(0.5), st.floats(0.05, 0.95)),
+           st.booleans(), st.data())
+    def test_matches_single_point_on_hybrid_scales(self, ts, alpha, sampled, data):
+        # alpha = 0.5 kills the kernel on every unit gap or unit-step grid
+        mesh = ts.mesh(ts.t_min, ts.t_max, max_step=0.25)
+        start = data.draw(st.integers(0, len(mesh) - 1))
+        func = lambda t: math.sin(1.3 * t) + 0.2 * t
+        if sampled:
+            f = Sampled(mesh, tuple(func(t) for t in mesh))
+            tol = 1e-12
+        else:
+            f = Closure(func, derivative=lambda t: 1.3 * math.cos(1.3 * t) + 0.2)
+            tol = 1e-8  # the dense runs are split into separate quadratures
+        order = CFOrder(alpha)
+        mesh = mesh[start:]
+        wants = []
+        for t in mesh:
+            try:
+                wants.append(cf_delta_left(ts, f, mesh[0], t, order))
+            except NonRegressiveKernel:
+                # the column refuses from the same first point on
+                with pytest.raises(NonRegressiveKernel):
+                    cf_delta_left_prefix(ts, f, mesh[:len(wants) + 1], order)
+                break
+        got = cf_delta_left_prefix(ts, f, mesh[:len(wants)], order)
+        assert got == pytest.approx(wants, rel=tol, abs=tol)
+
+    def test_alpha_zero_is_increment(self):
+        f = Closure(lambda t: math.cos(t))
+        got = cf_delta_left_prefix(Z, f, [0.0, 3.0, 7.0], CFOrder(0.0))
+        assert got == [0.0, f.func(3.0) - f.func(0.0), f.func(7.0) - f.func(0.0)]
+
+    def test_dense_points_split_the_run(self):
+        got = cf_delta_left_prefix(I01, IDENT, [0.0, 0.25, 0.5, 1.0], CFOrder(0.5))
+        want = [2.0 * (1.0 - math.exp(-t)) for t in (0.0, 0.25, 0.5, 1.0)]
+        assert got == pytest.approx(want, abs=1e-10)
+
+    def test_degenerate_kernel_inside_hybrid_span_rejected(self):
+        # graininess 1 from the grid and the gap 1 -> 2 both kill at alpha 0.5
+        ts = TimeScale.of(ContinuousInterval(0.0, 1.0), UniformGrid(2.0, 1.0, 3))
+        with pytest.raises(NonRegressiveKernel):
+            cf_delta_left_prefix(ts, IDENT, ts.mesh(0.0, 4.0), CFOrder(0.5))
+        # the span [0, 1) holds no scattered point yet
+        assert len(cf_delta_left_prefix(ts, IDENT, [0.0, 0.5, 1.0], CFOrder(0.5))) == 3
+
+    def test_degenerate_grid_allowed_until_the_span_leaves_it(self):
+        ts = TimeScale.of(UniformGrid(0.0, 1.0, 4), ContinuousInterval(3.5, 4.0))
+        order = CFOrder(0.5)
+        got = cf_delta_left_prefix(ts, IDENT, [0.0, 1.0, 2.0, 3.0], order)
+        assert got == [0.0, 2.0, 2.0, 2.0]
+        with pytest.raises(NonRegressiveKernel):
+            cf_delta_left_prefix(ts, IDENT, [0.0, 1.0, 2.0, 3.0, 3.5], order)
+        # a span that starts past the grid only meets the harmless gap 0.5
+        assert cf_delta_left_prefix(ts, IDENT, [3.0, 3.5], order)[-1] == 1.0
+
+    def test_mesh_validation(self):
+        with pytest.raises(DomainError):
+            cf_delta_left_prefix(Z, IDENT, [], CFOrder(0.5))
+        with pytest.raises(DomainError):
+            cf_delta_left_prefix(Z, IDENT, [0.0, 2.0, 2.0], CFOrder(0.5))
+
+    def test_residual_column_walks_the_atoms_once(self, monkeypatch):
+        ts = TimeScale.of(UniformGrid(0.0, 0.1, 11), ContinuousInterval(1.5, 2.5))
+        prob = LinearCFProblem(ts, -0.5, Closure(math.sin), 0.0, CFOrder(0.3))
+        traj = solve_linear_trajectory(prob, horizon=2.5)
+        calls = []
+        atoms = TimeScale.atoms
+        monkeypatch.setattr(TimeScale, "atoms",
+                            lambda self, a, b: calls.append((a, b)) or atoms(self, a, b))
+        column = residual_linear_mesh(prob, traj, traj.mesh)
+        assert len(column) == len(traj.mesh) > 200
+        assert calls == [(0.0, 2.5)]
+
+
+def test_oracles_do_not_import_the_package():
+    tree = ast.parse((Path(__file__).parent / "oracles.py").read_text())
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            imported.add("." * node.level + (node.module or ""))
+    assert imported <= {"__future__", "math", "dataclasses"}
 
 
 class TestRightDerivative:

@@ -11,11 +11,12 @@ from cfts.linear import (
     classical_residual,
     classical_trajectory,
     residual_linear,
+    residual_linear_mesh,
     solve_linear,
     solve_linear_trajectory,
 )
 from cfts.signals import Closure, Sampled, constant, value
-from cfts.timescale import TimeScale
+from cfts.timescale import ContinuousInterval, TimeScale, UniformGrid
 
 from .oracles import oracle_classical, oracle_linear_discrete
 
@@ -203,6 +204,29 @@ class TestResidual:
             want = C * ((1.0 + abar) ** k / (1.0 - alpha) - lam)
             got = residual_linear(prob, traj, float(k))
             assert got == pytest.approx(want, rel=1e-11, abs=1e-13)
+
+    def test_mesh_form_matches_single_points(self):
+        ts = TimeScale.of(UniformGrid(0.0, 0.5, 5), ContinuousInterval(2.5, 3.0))
+        prob = _mk(ts, -0.5, Closure(math.cos), 1.0, 0.4)
+        traj = solve_linear_trajectory(prob, horizon=3.0, max_step=0.1)
+        column = residual_linear_mesh(prob, traj, traj.mesh)
+        for t, r in zip(traj.mesh, column):
+            assert r == pytest.approx(residual_linear(prob, traj, t),
+                                      rel=1e-12, abs=1e-12)
+        with pytest.raises(DomainError):
+            residual_linear_mesh(prob, traj, traj.mesh[1:])
+
+    def test_mesh_form_when_zero_is_not_bit_exact(self):
+        # -0.3 + 3*0.1 = 5.55e-17: the grid's lattice value of t = 0
+        ts = TimeScale.grid(-0.3, 0.1, 10)
+        assert ts.snap(0.0) != 0.0
+        prob = _mk(ts, 0.2, constant(1.0), -5.0, 0.5)
+        traj = solve_linear_trajectory(prob, steps=5)
+        assert traj.mesh[0] == ts.snap(0.0)
+        column = residual_linear_mesh(prob, traj, traj.mesh)
+        assert column == [residual_linear(prob, traj, t) for t in traj.mesh]
+        assert max(abs(r) for r in column) < 1e-13
+        assert residual_linear_mesh(prob, traj, [0.0, 0.2]) == column[:3:2]
 
     def test_constant_solution_residual_is_zero(self):
         prob = _mk(Z, 0.0, constant(0.0), 3.0, 0.5)

@@ -11,6 +11,7 @@ from cfts.nonlinear import (
     max_contractive_window,
     picard_solve,
     residual_nonlinear,
+    residual_nonlinear_mesh,
 )
 from cfts.signals import Closure, constant, value
 from cfts.timescale import TimeScale
@@ -167,6 +168,19 @@ class TestResidualNonlinear:
         res = picard_solve(p, tol=1e-12)
         for k in range(1, 4):
             assert abs(residual_nonlinear(p, res.solution, float(k))) < 1e-9
+
+    def test_mesh_form_matches_single_points(self):
+        ts = TimeScale.integers(0, 6)
+        p = _prob(ts, lambda t, x: 0.3 * math.sin(x), 0.3, 1, 4, 1.0, 0.4)
+        res = picard_solve(p)
+        column = residual_nonlinear_mesh(p, res.solution, res.solution.mesh)
+        # the start-up defect is -f(a, x0), since the operator vanishes at a
+        assert column[0] == -0.3 * math.sin(1.0)
+        for t, r in zip(res.solution.mesh, column):
+            assert r == pytest.approx(residual_nonlinear(p, res.solution, t),
+                                      rel=1e-12, abs=1e-12)
+        with pytest.raises(DomainError):
+            residual_nonlinear_mesh(p, res.solution, (0.0, 1.0, 2.0))
 
     def test_zero_rhs_zero_residual(self):
         p = _prob(TimeScale.integers(0, 5), lambda t, x: 0.0, 0.01, 0, 5, 2.0, 0.4)
