@@ -21,7 +21,6 @@ from .errors import (
     OutsideKappaDomain,
     PointNotInTimeScale,
     QuadratureNonConvergence,
-    RegressivityViolation,
 )
 from .fractional import (
     CFOrder,
@@ -80,7 +79,6 @@ __all__ = [
     "PointClass",
     "PointNotInTimeScale",
     "QuadratureNonConvergence",
-    "RegressivityViolation",
     "Sampled",
     "Segment",
     "Signal",

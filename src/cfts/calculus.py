@@ -3,7 +3,10 @@ regressivity, and the time-scale exponential for a constant coefficient.
 
 Scattered points use exact difference quotients and weighted sums; dense
 runs fall back to ordinary calculus (adaptive quadrature, numerical
-differentiation with Richardson extrapolation).
+differentiation with Richardson extrapolation).  The integral and the
+exponential walk the cells of ``TimeScale.cells``; ``_u_run_integral``, the
+kernel-weighted integral over one dense cell, also serves the linear
+solvers.
 """
 
 from __future__ import annotations
@@ -20,7 +23,7 @@ from .errors import (
     QuadratureNonConvergence,
 )
 from .signals import Closure, Sampled, Signal, sampled_slope, value
-from .timescale import ContinuousInterval, DenseAtom, ScatteredAtom, TimeScale
+from .timescale import ContinuousInterval, TimeScale
 
 #: Absolute tolerance for quadrature over continuous runs.
 QUAD_TOL = 1e-10
@@ -120,21 +123,27 @@ def delta_integral(ts: TimeScale, f: Signal, a: float, b: float,
     """
     tol = QUAD_TOL if tol is None else tol
     total = 0.0
-    for atom in ts.atoms(a, b):
-        if isinstance(atom, ScatteredAtom):
-            total += atom.mu * value(f, ts, atom.t)
-        elif isinstance(f, Closure):
-            total += _quad(f.func, atom.lo, atom.hi, tol)
+    for lo, hi, mu in ts.cells((ts.snap(a), ts.snap(b))):
+        if mu:
+            total += mu * value(f, ts, lo)
         else:
-            total += _trapezoid_on_mesh(ts, f, atom)
+            total += _u_run_integral(ts, f, lo, hi, 0.0, tol)
     return total
 
 
-def _trapezoid_on_mesh(ts: TimeScale, f: Sampled, atom: DenseAtom) -> float:
-    pts = [atom.lo, *f.between(atom.lo, atom.hi), atom.hi]
-    vals = [value(f, ts, p) for p in pts]
-    return sum(0.5 * (v0 + v1) * (p1 - p0)
-               for p0, p1, v0, v1 in zip(pts, pts[1:], vals, vals[1:]))
+def _u_run_integral(ts: TimeScale, u: Signal, lo: float, hi: float, p: float,
+                    tol: float) -> float:
+    """integral_lo^hi u(tau) exp(p*(hi - tau)) dtau over one dense cell:
+    quadrature for a Closure, the midpoint-weighted trapezoid rule on the
+    stored mesh for a Sampled signal."""
+    if isinstance(u, Closure):
+        return _quad(lambda tau: u.func(tau) * math.exp(p * (hi - tau)), lo, hi, tol)
+    pts = [lo, *u.between(lo, hi), hi]
+    vals = [value(u, ts, t) for t in pts]
+    total = 0.0
+    for p0, p1, v0, v1 in zip(pts, pts[1:], vals, vals[1:]):
+        total += 0.5 * (v0 + v1) * math.exp(p * (hi - 0.5 * (p0 + p1))) * (p1 - p0)
+    return total
 
 
 def is_regressive(ts: TimeScale, p: float) -> bool:
@@ -155,20 +164,18 @@ def exp_ts(ts: TimeScale, p: float, t: float, t0: float) -> float:
     """
     t = ts.snap(t)
     t0 = ts.snap(t0)
-    if t == t0:
-        return 1.0
     if t < t0:
         return 1.0 / exp_ts(ts, p, t0, t)
     prod = 1.0
     dense = 0.0
-    for atom in ts.atoms(t0, t):
-        if isinstance(atom, ScatteredAtom):
-            if _kills(atom.mu, p):
+    for lo, hi, mu in ts.cells((t0, t)):
+        if mu:
+            if _kills(mu, p):
                 raise NonRegressiveParameter(
-                    f"1 + mu*p vanishes at t={atom.t!r} (mu={atom.mu!r}, p={p!r})")
-            prod *= 1.0 + atom.mu * p
+                    f"1 + mu*p vanishes at t={lo!r} (mu={mu!r}, p={p!r})")
+            prod *= 1.0 + mu * p
         else:
-            dense += atom.length
+            dense += hi - lo
     if dense:
         prod *= math.exp(p * dense)
     return prod

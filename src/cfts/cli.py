@@ -26,20 +26,20 @@ import os
 import sys
 from pathlib import Path
 
-from .config import ConfigError, Scenario, build_rhs, build_signal, parse_config
-from .errors import NonRegressiveParameter, NotContractive, NotRegressive
+from .config import ConfigError, Scenario, _floats, build_rhs, build_signal, parse_config
+from .errors import DomainError, NonRegressiveParameter, NotContractive, PointNotInTimeScale
 from .fractional import CFOrder
 from .linear import (
     LinearCFProblem,
+    _resolve_mesh,
     classical_residual,
     classical_trajectory,
     residual_linear_mesh,
     solve_linear_trajectory,
 )
 from .nonlinear import NonlinearCFProblem, picard_solve, residual_nonlinear_mesh
-from .signals import Sampled
 from .stability import StabilityVerdict, classify_hz, classify_r
-from .timescale import TimeScale, UniformGrid
+from .timescale import UniformGrid
 
 #: Self-check bound announced for emitted trajectories.
 RESIDUAL_GATE = 1e-8
@@ -70,11 +70,10 @@ def _alpha_tag(alpha: float) -> str:
 
 
 def _linear_trajectory(scn: Scenario, alpha: float, tol: float):
-    u = build_signal(scn.u_spec)
-    if isinstance(u, Sampled):  # sample tables are given on the run mesh
-        mesh = (scn.ts.mesh(0.0, scn.horizon) if scn.horizon is not None
-                else scn.ts.mesh(0.0, scn.ts.t_max)[: scn.steps + 1])
-        u = build_signal(scn.u_spec, mesh)
+    # a sample table is given on the run mesh
+    mesh = (_resolve_mesh(scn.ts, scn.horizon, scn.steps, None)
+            if scn.u_spec[0] == "samples" else None)
+    u = build_signal(scn.u_spec, mesh)
     if alpha == 1.0:
         traj = classical_trajectory(scn.ts, scn.lam, u, scn.x0,
                                     horizon=scn.horizon, steps=scn.steps, tol=tol)
@@ -156,13 +155,15 @@ def _parse_sweep(spec: str, flag: str) -> list[float]:
         if ":" in spec:
             lo_s, hi_s, n_s = spec.split(":")
             lo, hi, n = float(lo_s), float(hi_s), int(n_s)
-            if n < 2:
-                return [lo]
-            step = (hi - lo) / (n - 1)
-            return [lo + k * step for k in range(n)]
-        return [float(s) for s in spec.split(",") if s]
+            step = (hi - lo) / max(n - 1, 1)
+            vals = [lo + k * step for k in range(n)] if n >= 2 else [lo]
+        else:
+            vals = [float(s) for s in spec.split(",") if s]
+        if all(math.isfinite(v) for v in vals):
+            return vals
     except ValueError:
-        raise ConfigError(f"bad sweep {spec!r} for {flag}; use X | X,Y,... | lo:hi:count")
+        pass
+    raise ConfigError(f"bad sweep {spec!r} for {flag}; use finite X | X,Y,... | lo:hi:count")
 
 
 def cmd_stability(lams, alphas, hs, continuous: bool, out_path: str | None) -> int:
@@ -361,14 +362,20 @@ def _build_parser() -> argparse.ArgumentParser:
     return ap
 
 
+#: Exit code and one-line message prefix per error type, first match wins
+#: (NotRegressive is a NonRegressiveParameter).
+_EXITS = (
+    ((ConfigError, FileNotFoundError), 2, "config error"),
+    ((DomainError, PointNotInTimeScale), 2, "domain error"),
+    ((NonRegressiveParameter,), 3, "regressivity violation"),
+    ((NotContractive,), 4, "not contractive"),
+)
+
+
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        tol = float(os.environ["CFTS_TOL"]) if "CFTS_TOL" in os.environ else 1e-10
-    except ValueError:
-        print("error: CFTS_TOL must be a number", file=sys.stderr)
-        return 2
-    try:
+        tol = _floats([os.environ.get("CFTS_TOL", "1e-10")], None, "CFTS_TOL")[0]
         if args.command == "simulate":
             return cmd_simulate(args.config, args.out, tol)
         if args.command == "stability":
@@ -380,18 +387,10 @@ def main(argv=None) -> int:
             return cmd_solve_nonlinear(args.config, args.out, tol)
         if args.command == "figures":
             return cmd_figures(args.which, args.out, tol, not args.no_plot_script)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
-    except FileNotFoundError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
-    except (NotRegressive, NonRegressiveParameter) as exc:
-        print(f"regressivity violation: {exc}", file=sys.stderr)
-        return 3
-    except NotContractive as exc:
-        print(f"not contractive: {exc}", file=sys.stderr)
-        return 4
+    except tuple(t for types, _, _ in _EXITS for t in types) as exc:
+        code, prefix = next((c, p) for types, c, p in _EXITS if isinstance(exc, types))
+        print(f"{prefix}: {exc}", file=sys.stderr)
+        return code
     return 0
 
 

@@ -23,7 +23,7 @@ import math
 from dataclasses import dataclass, field
 from typing import Callable
 
-from .signals import Closure, Sampled, Signal
+from .signals import Closure, Sampled, Signal, constant
 from .timescale import Segment, TimeScale, parse_segment
 
 
@@ -60,9 +60,12 @@ class Scenario:
 
 def _floats(tokens, line, field_):
     try:
-        return tuple(float(t) for t in tokens)
+        vals = tuple(float(t) for t in tokens)
     except ValueError as exc:
         raise ConfigError(f"expected numbers, got {tokens!r}: {exc}", line, field_)
+    if not all(math.isfinite(v) for v in vals):
+        raise ConfigError(f"expected finite numbers, got {tokens!r}", line, field_)
+    return vals
 
 
 def parse_config(text: str) -> list[Scenario]:
@@ -204,8 +207,7 @@ def build_signal(spec: tuple[str, ...],
     """Materialize a forcing signal from its config tokens."""
     kind, args = spec[0], [float(s) for s in spec[1:]]
     if kind == "constant":
-        c = args[0]
-        return Closure(lambda t: c, derivative=lambda t: 0.0)
+        return constant(args[0])
     if kind == "poly":
         coeffs = args
         return Closure(

@@ -37,10 +37,6 @@ class NotRegressive(NonRegressiveParameter):
     """A linear problem is not solvable: K(alpha)=0 or p(alpha) not regressive."""
 
 
-class RegressivityViolation(NonRegressiveParameter):
-    """A stability query hit a regressivity boundary (K(alpha)=0 or 1+h*p=0)."""
-
-
 class NotContractive(CftsError):
     """The fixed-point operator is not a contraction on the given window.
 

@@ -9,11 +9,13 @@ the Caputo--Fabrizio construction carried to an arbitrary time scale: the
 first-order delta derivative convolved with the time-scale exponential.
 By the semigroup identity e(t1, s) = e(t1, t0) e(t0, s) (Bohner & Peterson,
 Dynamic Equations on Time Scales, 2001, Thm 2.36) its values at every
-point of a mesh come from one forward march over the atoms
-(``cf_delta_left_prefix``); the single-point ``cf_delta_left`` is that
-march on the mesh (a, t).  The right-sided operator integrates over [t, b]
-and needs reciprocal kernel values.  The fractional integral of order alpha
-is the weighted average (1-alpha)/M * u(t) + alpha/M * integral_0^t u.
+point of a mesh come from one forward march over the cells of
+``TimeScale.cells`` (``cf_delta_left_prefix``); the single-point
+``cf_delta_left`` is that march on the mesh (a, t), so one walk serves the
+column and the single point.  The right-sided operator walks the cells of
+[t, b] and needs reciprocal kernel values.  The fractional integral of
+order alpha is the weighted average (1-alpha)/M * u(t) + alpha/M *
+integral_0^t u.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ from typing import Sequence
 from .calculus import QUAD_TOL, _kills, _quad, delta_derivative, delta_integral
 from .errors import DomainError, NonRegressiveKernel
 from .signals import Closure, Signal, value
-from .timescale import ScatteredAtom, TimeScale, UniformGrid
+from .timescale import TimeScale, UniformGrid
 
 
 @dataclass(frozen=True)
@@ -54,10 +56,6 @@ class CFOrder:
     def front_factor(self) -> float:
         """M(alpha)/(1-alpha)."""
         return self.m_alpha / (1.0 - self.alpha)
-
-
-def _f_delta_scattered(ts: TimeScale, f: Signal, tau: float, mu: float) -> float:
-    return (value(f, ts, tau + mu) - value(f, ts, tau)) / mu
 
 
 def _kernel_breakpoints(lo: float, hi: float, slope: float) -> list[float] | None:
@@ -108,9 +106,9 @@ def cf_delta_left_prefix(ts: TimeScale, f: Signal, mesh: Sequence[float],
     the semigroup identity e(s1, tau) = e(s1, s0) e(s0, tau) gives
     S(s1) = e(s1, s0) S(s0) + (contribution of [s0, s1)), where the factor
     is 1 + mu*alpha_bar over a scattered point and exp(alpha_bar*len) over
-    a dense piece.  The atoms of [mesh[0], mesh[-1]) are walked once, dense
-    runs split at mesh points, and front_factor * S is emitted at each mesh
-    point, so a whole column costs O(n) instead of O(n^2).
+    a dense piece.  The cells of [mesh[0], mesh[-1]) are walked once and
+    front_factor * S is emitted at each mesh point, so a whole column costs
+    O(n) instead of O(n^2).
 
     At alpha = 0 the values are exactly f(t) - f(a).  A degenerate kernel
     (1 + mu*alpha_bar = 0) is allowed while the span [a, t) lies in one
@@ -129,46 +127,31 @@ def cf_delta_left_prefix(ts: TimeScale, f: Signal, mesh: Sequence[float],
         f_a = value(f, ts, a)
         return [value(f, ts, t) - f_a for t in mesh]
     rate, front = order.alpha_bar, order.front_factor
-    atoms = ts.atoms(a, mesh[-1])
-    ends = [x.t if isinstance(x, ScatteredAtom) else x.lo for x in atoms[1:]]
-    ends.append(mesh[-1])
     seg = ts.segments[ts._locate(a)[0]]
     # [a, t] lies in one uniform grid iff t <= grid_hi
     grid_hi = seg.hi if isinstance(seg, UniformGrid) else a
     out = [0.0]
     k = 1           # next mesh index to emit
-    S = 0.0         # S(pos), pos marching from a up to mesh[-1]
-    killed = False  # a degenerate kernel factor lies in [a, pos)
-
-    def emit(t: float) -> None:
-        if killed and t > grid_hi:
-            raise NonRegressiveKernel(
-                f"graininess equals (1-alpha)/alpha = "
-                f"{(1 - order.alpha) / order.alpha:g} inside a hybrid span")
-        out.append(front * S)
-
-    f_pos = value(f, ts, a) if atoms else 0.0
-    for atom, end in zip(atoms, ends):
-        if isinstance(atom, ScatteredAtom):
-            killed = killed or _kills(atom.mu, rate)
-            f_end = value(f, ts, end)
-            fd = (f_end - f_pos) / atom.mu
-            S = (1.0 + atom.mu * rate) * S + atom.mu * fd
-            f_pos = f_end
+    S = 0.0         # S(hi) of the last cell walked
+    killed = False  # a degenerate kernel factor lies in [a, hi)
+    f_lo = None     # f(lo) when the previous cell ended at lo on a scattered step
+    for lo, hi, mu in ts.cells(mesh):
+        if mu:
+            killed = killed or _kills(mu, rate)
+            f_hi = value(f, ts, hi)
+            fd = (f_hi - (value(f, ts, lo) if f_lo is None else f_lo)) / mu
+            S = (1.0 + mu * rate) * S + mu * fd
+            f_lo = f_hi
         else:
-            p0 = atom.lo
-            while mesh[k] < end:
-                p1 = mesh[k]
-                S = (math.exp(rate * (p1 - p0)) * S
-                     + _dense_weighted(ts, f, p0, p1, rate, p1, tol))
-                emit(p1)
-                k += 1
-                p0 = p1
-            S = (math.exp(rate * (end - p0)) * S
-                 + _dense_weighted(ts, f, p0, end, rate, end, tol))
-            f_pos = value(f, ts, end)
-        if mesh[k] == end:
-            emit(end)
+            S = (math.exp(rate * (hi - lo)) * S
+                 + _dense_weighted(ts, f, lo, hi, rate, hi, tol))
+            f_lo = None
+        if hi == mesh[k]:
+            if killed and hi > grid_hi:
+                raise NonRegressiveKernel(
+                    f"graininess equals (1-alpha)/alpha = "
+                    f"{(1 - order.alpha) / order.alpha:g} inside a hybrid span")
+            out.append(front * S)
             k += 1
     return out
 
@@ -210,24 +193,21 @@ def cf_delta_right(ts: TimeScale, f: Signal, t: float, b: float, order: CFOrder,
         raise DomainError(f"need t <= b, got t={t}, b={b}")
     if order.alpha == 0.0:
         return value(f, ts, b) - value(f, ts, t)
-    if t == b:
-        return 0.0
     rate = order.alpha_bar
     total = 0.0
     accum = 1.0  # e_{alpha_bar}(pos, t), marching pos from t up to b
-    for atom in ts.atoms(t, b):
-        if isinstance(atom, ScatteredAtom):
-            if _kills(atom.mu, rate):
+    for lo, hi, mu in ts.cells((t, b)):
+        if mu:
+            if _kills(mu, rate):
                 raise NonRegressiveKernel(
-                    f"kernel factor 1 + mu*alpha_bar vanishes at tau={atom.t!r}")
-            accum *= 1.0 + atom.mu * rate
-            fd = _f_delta_scattered(ts, f, atom.t, atom.mu)
-            total += atom.mu * fd / accum
+                    f"kernel factor 1 + mu*alpha_bar vanishes at tau={lo!r}")
+            accum *= 1.0 + mu * rate
+            fd = (value(f, ts, lo + mu) - value(f, ts, lo)) / mu
+            total += mu * fd / accum
         else:
             # kernel at tau in the run: exp(rate*(lo - tau)) / accum
-            total += _dense_weighted(ts, f, atom.lo, atom.hi,
-                                     rate, atom.lo, tol) / accum
-            accum *= math.exp(rate * atom.length)
+            total += _dense_weighted(ts, f, lo, hi, rate, lo, tol) / accum
+            accum *= math.exp(rate * (hi - lo))
     return order.front_factor * total
 
 

@@ -9,8 +9,10 @@ p = lambda*alpha/K regressive, the solution is
     x(t) = x0 - (1/K)(1 - e_p(t,0)) x0 + ((1-alpha)/K)(u(t) - u(0))
            + (alpha/K^2) * integral_0^t e_p(t, sigma(tau)) u(tau) dtau.
 
-Trajectories over a mesh use the one-step recurrence for the weighted
-integral (O(n) instead of O(n^2) resummation).
+One forward walk over the cells of ``TimeScale.cells`` carries e_p(t, 0)
+and the weighted integral by their one-step recurrences (O(n) instead of
+O(n^2) resummation); it serves both the trajectory on a mesh and the
+single-point ``solve_linear``, which is that walk on the mesh (0, t).
 
 The limiting order alpha = 1 degenerates to the classical delta equation
 x^delta = lambda*x + u, provided here as ``classical_trajectory``.
@@ -31,11 +33,11 @@ import math
 from dataclasses import dataclass
 from typing import Sequence
 
-from .calculus import QUAD_TOL, _kills, _quad, delta_derivative, exp_ts
+from .calculus import QUAD_TOL, _kills, _u_run_integral, delta_derivative
 from .errors import DomainError, NotRegressive
 from .fractional import CFOrder, cf_delta_left_prefix
-from .signals import Closure, Sampled, Signal, as_signal, value
-from .timescale import DenseAtom, ScatteredAtom, TimeScale
+from .signals import Sampled, Signal, as_signal, value
+from .timescale import TimeScale
 
 
 @dataclass(frozen=True)
@@ -69,32 +71,32 @@ class LinearCFProblem:
         return self.lam * self.order.alpha / self.k_alpha
 
 
-def _weighted_u_integral(prob: LinearCFProblem, t: float, tol: float) -> float:
-    """integral_0^t e_p(t, sigma(tau)) u(tau) dtau, marching backward from t."""
-    ts, p, u = prob.ts, prob.p_alpha, prob.u
-    total = 0.0
-    kernel = 1.0  # e_p(t, pos)
-    for atom in reversed(ts.atoms(0.0, t)):
-        if isinstance(atom, ScatteredAtom):
-            total += atom.mu * value(u, ts, atom.t) * kernel
-            kernel *= 1.0 + atom.mu * p
+def _march(prob: LinearCFProblem, mesh: Sequence[float], tol: float) -> list[float]:
+    """The closed form at every point of an increasing canonical mesh that
+    starts at 0, from one forward walk over its cells."""
+    ts, p, u, x0 = prob.ts, prob.p_alpha, prob.u, prob.x0
+    K, alpha = prob.k_alpha, prob.order.alpha
+    u_0 = value(u, ts, 0.0)
+    xs = [x0]
+    k = 1           # next mesh index to emit
+    ep = 1.0        # e_p(hi, 0)
+    integral = 0.0  # integral_0^hi e_p(hi, sigma(tau)) u(tau) dtau
+    for lo, hi, mu in ts.cells(mesh):
+        if mu:
+            integral = (1.0 + mu * p) * integral + mu * value(u, ts, lo)
+            ep *= 1.0 + mu * p
         else:
-            total += kernel * _u_run_integral(ts, u, atom.lo, atom.hi, p, tol)
-            kernel *= math.exp(p * atom.length)
-    return total
-
-
-def _u_run_integral(ts: TimeScale, u: Signal, lo: float, hi: float, p: float,
-                    tol: float) -> float:
-    """integral_lo^hi u(tau) exp(p*(hi - tau)) dtau over one dense run."""
-    if isinstance(u, Closure):
-        return _quad(lambda tau: u.func(tau) * math.exp(p * (hi - tau)), lo, hi, tol)
-    pts = [lo, *u.between(lo, hi), hi]
-    total = 0.0
-    for p0, p1 in zip(pts, pts[1:]):
-        um = 0.5 * (value(u, ts, p0) + value(u, ts, p1))
-        total += um * math.exp(p * (hi - 0.5 * (p0 + p1))) * (p1 - p0)
-    return total
+            grow = math.exp(p * (hi - lo))
+            integral = grow * integral + _u_run_integral(ts, u, lo, hi, p, tol)
+            ep *= grow
+        if hi == mesh[k]:
+            u_t = value(u, ts, hi)
+            xs.append(x0
+                      - (1.0 - ep) * x0 / K
+                      + (1.0 - alpha) * (u_t - u_0) / K
+                      + alpha * integral / (K * K))
+            k += 1
+    return xs
 
 
 def solve_linear(prob: LinearCFProblem, t: float, tol: float | None = None) -> float:
@@ -104,18 +106,7 @@ def solve_linear(prob: LinearCFProblem, t: float, tol: float | None = None) -> f
     t = ts.snap(t)
     if t < 0.0:
         raise DomainError("the solution formula is for t >= 0")
-    if t == 0.0:
-        return prob.x0
-    K = prob.k_alpha
-    alpha = prob.order.alpha
-    ep = exp_ts(ts, prob.p_alpha, t, 0.0)
-    u_t = value(prob.u, ts, t)
-    u_0 = value(prob.u, ts, 0.0)
-    integral = _weighted_u_integral(prob, t, tol)
-    return (prob.x0
-            - (1.0 - ep) * prob.x0 / K
-            + (1.0 - alpha) * (u_t - u_0) / K
-            + alpha * integral / (K * K))
+    return _march(prob, (ts.snap(0.0), t), tol)[-1]
 
 
 def _resolve_mesh(ts: TimeScale, horizon: float | None, steps: int | None,
@@ -136,32 +127,8 @@ def solve_linear_trajectory(prob: LinearCFProblem, horizon: float | None = None,
                             tol: float | None = None) -> Sampled:
     """Solution sampled on the mesh of [0, horizon] via one-step recurrences."""
     tol = QUAD_TOL if tol is None else tol
-    ts = prob.ts
-    mesh = _resolve_mesh(ts, horizon, steps, max_step)
-    K = prob.k_alpha
-    alpha = prob.order.alpha
-    p = prob.p_alpha
-    u_0 = value(prob.u, ts, 0.0)
-
-    xs = [prob.x0]
-    ep = 1.0       # e_p(t_k, 0)
-    integral = 0.0  # integral_0^{t_k} e_p(t_k, sigma(tau)) u(tau) dtau
-    for t_prev, t_cur in zip(mesh, mesh[1:]):
-        mu = ts.mu(t_prev)
-        if mu > 0.0:  # scattered step: t_cur == sigma(t_prev)
-            integral = (1.0 + mu * p) * integral + mu * value(prob.u, ts, t_prev)
-            ep *= 1.0 + mu * p
-        else:
-            delta = t_cur - t_prev
-            grow = math.exp(p * delta)
-            integral = grow * integral + _u_run_integral(ts, prob.u, t_prev, t_cur, p, tol)
-            ep *= grow
-        u_t = value(prob.u, ts, t_cur)
-        xs.append(prob.x0
-                  - (1.0 - ep) * prob.x0 / K
-                  + (1.0 - alpha) * (u_t - u_0) / K
-                  + alpha * integral / (K * K))
-    return Sampled(mesh, tuple(xs))
+    mesh = _resolve_mesh(prob.ts, horizon, steps, max_step)
+    return Sampled(mesh, tuple(_march(prob, mesh, tol)))
 
 
 def residual_linear_mesh(prob: LinearCFProblem, x: Signal, mesh: Sequence[float],
@@ -200,14 +167,13 @@ def classical_trajectory(ts: TimeScale, lam: float, u, x0: float,
     u = as_signal(u)
     mesh = _resolve_mesh(ts, horizon, steps, max_step)
     xs = [x0]
-    for t_prev, t_cur in zip(mesh, mesh[1:]):
-        mu = ts.mu(t_prev)
+    for lo, hi, mu in ts.cells(mesh):  # the cells are the steps of a ts.mesh
         x = xs[-1]
-        if mu > 0.0:
-            xs.append(x + mu * (lam * x + value(u, ts, t_prev)))
+        if mu:
+            xs.append(x + mu * (lam * x + value(u, ts, lo)))
         else:
-            grow = math.exp(lam * (t_cur - t_prev))
-            forced = _u_run_integral(ts, u, t_prev, t_cur, lam, tol)
+            grow = math.exp(lam * (hi - lo))
+            forced = _u_run_integral(ts, u, lo, hi, lam, tol)
             xs.append(grow * x + forced)
     return Sampled(mesh, tuple(xs))
 

@@ -80,14 +80,14 @@ def max_contractive_window(lipschitz_l: float, alpha: float) -> float:
     return max(0.0, (1.0 / lipschitz_l - (1.0 - alpha)) / alpha)
 
 
-def _cumulative_integral(ts: TimeScale, mesh: tuple[float, ...],
+def _cumulative_integral(cells: list[tuple[float, float, float]],
                          g: list[float]) -> list[float]:
-    """Running delta integral of mesh samples: mu-weighted sums on scattered
-    cells, trapezoid on dense cells."""
+    """Running delta integral of mesh samples over the cells of the mesh:
+    mu-weighted sums on scattered cells, trapezoid on dense cells."""
     cum = [0.0]
-    for i in range(len(mesh) - 1):
-        dt = mesh[i + 1] - mesh[i]
-        if ts.mu(mesh[i]) > 0.0:
+    for i, (lo, hi, mu) in enumerate(cells):
+        dt = hi - lo
+        if mu:
             cum.append(cum[-1] + dt * g[i])
         else:
             cum.append(cum[-1] + 0.5 * dt * (g[i] + g[i + 1]))
@@ -112,18 +112,17 @@ def picard_solve(prob: NonlinearCFProblem, tol: float = DEFAULT_TOL,
                                                        prob.order.alpha))
     ts, f, alpha = prob.ts, prob.rhs, prob.order.alpha
     mesh = ts.mesh(prob.a, prob.b, max_step)
+    cells = list(ts.cells(mesh))  # one cell per mesh step
     if start is None:
         x = [prob.x0] * len(mesh)
     else:
         x = [value(start, ts, t) for t in mesh]
 
-    f_at_a = None  # f(a, x0), fixed across iterations
+    f_at_a = f(mesh[0], prob.x0)  # fixed across iterations
     norms: list[float] = []
     for iteration in range(1, max_iter + 1):
         g = [f(t, xi) for t, xi in zip(mesh, x)]
-        if f_at_a is None:
-            f_at_a = f(mesh[0], prob.x0)
-        cum = _cumulative_integral(ts, mesh, g)
+        cum = _cumulative_integral(cells, g)
         x_new = [prob.x0 + alpha * ci + (1.0 - alpha) * (gi - f_at_a)
                  for ci, gi in zip(cum, g)]
         defect = max(abs(a_ - b_) for a_, b_ in zip(x_new, x))

@@ -64,8 +64,7 @@ def as_signal(f) -> Signal:
         return f
     if callable(f):
         return Closure(f)
-    c = float(f)
-    return Closure(lambda t: c, derivative=lambda t: 0.0)
+    return constant(f)
 
 
 def constant(c: float) -> Closure:

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 from .calculus import _kills
 from .errors import DomainError, NonRegressiveParameter
-from .timescale import DenseAtom, ScatteredAtom, TimeScale
+from .timescale import TimeScale
 
 #: Absolute tolerance for "sits exactly on an interval endpoint".
 BOUNDARY_TOL = 1e-12
@@ -135,13 +135,13 @@ def estimate_sc(ts: TimeScale, p: float, horizon: float | None = None) -> float:
     if T <= t0:
         raise DomainError("horizon must exceed the window start")
     total = 0.0
-    for atom in ts.atoms(t0, T):
-        if isinstance(atom, ScatteredAtom):
-            factor = 1.0 + atom.mu * p
-            if _kills(atom.mu, p):
+    for lo, hi, mu in ts.cells((t0, T)):
+        if mu:
+            factor = 1.0 + mu * p
+            if _kills(mu, p):
                 raise NonRegressiveParameter(
-                    f"1 + mu*p vanishes at t={atom.t!r}; the average is -inf")
+                    f"1 + mu*p vanishes at t={lo!r}; the average is -inf")
             total += math.log(abs(factor))
         else:
-            total += p * atom.length
+            total += p * (hi - lo)
     return total / (T - t0)

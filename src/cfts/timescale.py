@@ -2,8 +2,9 @@
 uniform grids and isolated points on a bounded working window.
 
 A time scale supplies the jump operators sigma/rho, the graininess mu,
-point classification, and the segment walks (scattered points and dense
-runs) that the calculus layer integrates over.
+point classification, and the one cell walk (``TimeScale.cells``) over
+scattered points and dense runs that every kernel loop of the calculus
+layer is built on; no other module reads the atom format.
 """
 
 from __future__ import annotations
@@ -11,7 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable, Union
+from typing import Iterable, Iterator, Sequence, Union
 
 from .errors import PointNotInTimeScale
 
@@ -138,6 +139,8 @@ Atom = Union[ScatteredAtom, DenseAtom]
 def _normalize(segments: Iterable[Segment]) -> tuple[Segment, ...]:
     segs: list[Segment] = []
     for s in segments:
+        if not (math.isfinite(s.lo) and math.isfinite(s.hi)):
+            raise ValueError(f"segment {s!r} has a non-finite point")
         if isinstance(s, UniformGrid) and s.count == 1:
             s = IsolatedPoint(s.start)
         segs.append(s)
@@ -220,10 +223,6 @@ class TimeScale:
     @property
     def t_max(self) -> float:
         return self.window[1]
-
-    @property
-    def is_discrete(self) -> bool:
-        return not any(isinstance(s, ContinuousInterval) for s in self.segments)
 
     def _locate(self, t: float) -> tuple[int, float]:
         """Return (segment index, snapped point) or raise PointNotInTimeScale."""
@@ -358,6 +357,33 @@ class TimeScale:
                     out.append(ScatteredAtom(s.t, nxt - s.t))
         return out
 
+    def cells(self, mesh: Sequence[float]) -> Iterator[tuple[float, float, float]]:
+        """Walk [mesh[0], mesh[-1]) cell by cell, yielding (lo, hi, mu).
+
+        A scattered point lo gives hi = sigma(lo) and mu = hi - lo > 0; a
+        dense run gives one cell per piece between the mesh points inside
+        it, with mu = 0.  The cells tile the span, and every mesh point
+        after the first is the hi of a cell; a one-point span (mesh[0] ==
+        mesh[-1]) has none.  The mesh must be increasing canonical points
+        (as ``snap`` and ``mesh`` return them).
+        """
+        atoms = self.atoms(mesh[0], mesh[-1])
+        ends = [x.t if isinstance(x, ScatteredAtom) else x.lo for x in atoms[1:]]
+        ends.append(mesh[-1])
+        k = 1  # next mesh point not yet passed
+        for atom, end in zip(atoms, ends):
+            if isinstance(atom, ScatteredAtom):
+                yield atom.t, end, atom.mu
+            else:
+                lo = atom.lo
+                while mesh[k] < end:
+                    yield lo, mesh[k], 0.0
+                    lo = mesh[k]
+                    k += 1
+                yield lo, end, 0.0
+            if mesh[k] == end:
+                k += 1
+
     def mesh(self, a: float, b: float, max_step: float | None = None) -> tuple[float, ...]:
         """All scattered points of [a, b] plus subdivided dense runs.
 
@@ -386,9 +412,6 @@ class TimeScale:
             if i + 1 < len(self.segments):
                 vals.add(self.segments[i + 1].lo - s.hi)
         return tuple(sorted(vals))
-
-    def has_dense_points(self) -> bool:
-        return any(isinstance(s, ContinuousInterval) for s in self.segments)
 
 
 # -- plain-text description ------------------------------------------------

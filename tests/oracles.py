@@ -8,17 +8,6 @@ exercises two independent arithmetic paths.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-
-
-@dataclass(frozen=True)
-class OracleConfig:
-    dense_grid_factor: int = 16
-    tolerance: float = 1e-10
-
-    def __post_init__(self):
-        if self.dense_grid_factor < 4:
-            raise ValueError("dense_grid_factor must be at least 4")
 
 
 def oracle_cf_delta_discrete(samples, h, alpha, a_index, t_index, m_alpha=1.0):

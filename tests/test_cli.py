@@ -9,6 +9,8 @@ import pytest
 from cfts.cli import main
 from cfts.config import ConfigError, build_rhs, build_signal, parse_config
 
+from .oracles import oracle_linear_discrete
+
 LINEAR_CONFIG = """\
 # two-alpha run on the unit grid
 [scenario demo]
@@ -38,6 +40,15 @@ outputs = trajectory residuals
 def _read(path):
     with open(path) as fh:
         return list(csv.DictReader(fh))
+
+
+def _one_line_error(rc, capsys):
+    """Assert exit code 2 and a single stderr line; return its prefix."""
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert "Traceback" not in err
+    assert err.endswith("\n") and err.count("\n") == 1
+    return err.split(":", 1)[0]
 
 
 class TestConfigParsing:
@@ -174,6 +185,51 @@ class TestSimulate:
         cfg.write_text(NONLINEAR_CONFIG)
         assert main(["simulate", str(cfg), "--out", str(tmp_path)]) == 2
 
+    def test_horizon_beyond_the_window_exit_code(self, tmp_path, capsys):
+        cfg = tmp_path / "long.config"
+        cfg.write_text(LINEAR_CONFIG.replace("grid 0 1 31", "grid 0 1 5")
+                       .replace("steps 30", "steps 50"))
+        assert _one_line_error(main(["simulate", str(cfg), "--out", str(tmp_path)]),
+                               capsys) == "domain error"
+
+    def test_scale_without_zero_exit_code(self, tmp_path, capsys):
+        cfg = tmp_path / "shifted.config"
+        for alpha in ("0.5", "1"):  # the problem check, the classical mesh
+            cfg.write_text(LINEAR_CONFIG.replace("grid 0 1 31", "grid 1 1 5")
+                           .replace("steps 30", "steps 3").replace("0.25 0.5", alpha))
+            assert _one_line_error(main(["simulate", str(cfg), "--out", str(tmp_path)]),
+                                   capsys) == "domain error"
+
+    def test_non_finite_config_numbers_rejected(self, tmp_path, capsys):
+        bad = LINEAR_CONFIG.replace("lambda = 0.2", "lambda = nan")
+        with pytest.raises(ConfigError) as err:
+            parse_config(bad)
+        assert "line 5" in str(err.value) and "'lambda'" in str(err.value)
+        with pytest.raises(ConfigError) as err:
+            parse_config(LINEAR_CONFIG.replace("x0 = -5", "x0 = inf"))
+        assert "line 7" in str(err.value) and "'x0'" in str(err.value)
+        cfg = tmp_path / "nan.config"
+        cfg.write_text(bad.replace("x0 = -5", "x0 = inf"))
+        assert _one_line_error(main(["simulate", str(cfg), "--out", str(tmp_path)]),
+                               capsys) == "config error"
+        for seg in ("grid 40 nan 5", "point inf"):
+            cfg.write_text(LINEAR_CONFIG + f"segment = {seg}\n")
+            assert _one_line_error(main(["simulate", str(cfg), "--out", str(tmp_path)]),
+                                   capsys) == "config error"
+        assert not list(tmp_path.glob("*.csv"))
+
+    def test_sample_table_forcing(self, tmp_path):
+        us = [1.0, 0.5, -0.25, 2.0, 1.5]
+        cfg = tmp_path / "tab.config"
+        cfg.write_text(LINEAR_CONFIG.replace("grid 0 1 31", "grid 0 1 5")
+                       .replace("constant 1", "samples " + " ".join(map(str, us)))
+                       .replace("steps 30", "steps 4").replace("0.25 0.5", "0.5"))
+        assert main(["simulate", str(cfg), "--out", str(tmp_path)]) == 0
+        rows = _read(tmp_path / "demo_alpha0.5.csv")
+        for k, row in enumerate(rows):
+            want = oracle_linear_discrete(0.2, 0.5, 1.0, us, -5.0, k)
+            assert float(row["x"]) == pytest.approx(want, rel=1e-12, abs=1e-12)
+
 
 class TestStabilityCommand:
     def test_single_point_to_stdout(self, capsys):
@@ -202,6 +258,18 @@ class TestStabilityCommand:
     def test_bad_sweep_exit_code(self, capsys):
         assert main(["stability", "--lambda", "x", "--alpha", "0.5",
                      "--h", "1"]) == 2
+
+    def test_non_finite_sweep_exit_code(self, capsys):
+        assert _one_line_error(main(["stability", "--lambda", "nan", "--alpha", "0.5",
+                                     "--h", "1"]), capsys) == "config error"
+
+    def test_alpha_zero_exit_code(self, capsys):
+        assert _one_line_error(main(["stability", "--lambda", "1", "--alpha", "0",
+                                     "--h", "1"]), capsys) == "domain error"
+
+    def test_zero_step_exit_code(self, capsys):
+        assert _one_line_error(main(["stability", "--lambda", "1", "--alpha", "0.5",
+                                     "--h", "0"]), capsys) == "domain error"
 
 
 class TestSolveNonlinear:
@@ -293,6 +361,11 @@ class TestEnvironmentOverride:
         monkeypatch.setenv("CFTS_TOL", "tiny")
         assert main(["stability", "--lambda", "1", "--alpha", "0.5",
                      "--h", "1"]) == 2
+
+    def test_non_finite_cfts_tol(self, monkeypatch, capsys):
+        monkeypatch.setenv("CFTS_TOL", "inf")
+        assert _one_line_error(main(["stability", "--lambda", "1", "--alpha", "0.5",
+                                     "--h", "1"]), capsys) == "config error"
 
 
 def test_console_entry_point_runs():

@@ -4,10 +4,11 @@ import random
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from cfts.calculus import delta_derivative, delta_integral
+import cfts
+from cfts.calculus import delta_derivative, delta_integral, exp_ts, is_regressive
 from cfts.errors import DomainError, NonRegressiveKernel
 from cfts.fractional import (
     CFOrder,
@@ -181,6 +182,19 @@ class TestLeftPrefix:
         got = cf_delta_left_prefix(ts, f, mesh[:len(wants)], order)
         assert got == pytest.approx(wants, rel=tol, abs=tol)
 
+    @settings(max_examples=60, deadline=None)
+    @given(timescales(), st.floats(0.05, 0.95), st.data())
+    def test_identity_against_the_exponential(self, ts, alpha, data):
+        # f^delta = 1 gives S(t) = (e_abar(t, a) - 1)/abar, a product form
+        abar = CFOrder(alpha).alpha_bar
+        assume(is_regressive(ts, abar))
+        mesh = ts.mesh(ts.t_min, ts.t_max, max_step=0.25)
+        mesh = mesh[data.draw(st.integers(0, len(mesh) - 1)):]
+        got = cf_delta_left_prefix(ts, IDENT, mesh, CFOrder(alpha))
+        want = [(exp_ts(ts, abar, t, mesh[0]) - 1.0) / abar / (1.0 - alpha) for t in mesh]
+        # each dense piece is one quadrature to 1e-10, scaled by 1/(1-alpha) <= 20
+        assert got == pytest.approx(want, rel=1e-7, abs=1e-7)
+
     def test_alpha_zero_is_increment(self):
         f = Closure(lambda t: math.cos(t))
         got = cf_delta_left_prefix(Z, f, [0.0, 3.0, 7.0], CFOrder(0.0))
@@ -237,6 +251,24 @@ def test_oracles_do_not_import_the_package():
         elif isinstance(node, ast.ImportFrom):
             imported.add("." * node.level + (node.module or ""))
     assert imported <= {"__future__", "math", "dataclasses"}
+
+
+def test_only_timescale_knows_the_atom_format():
+    package = Path(cfts.__file__).parent
+    leaks = []
+    for path in sorted(package.glob("*.py")):
+        if path.name == "timescale.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            name = (node.name if isinstance(node, ast.alias)
+                    else node.id if isinstance(node, ast.Name)
+                    else node.attr if isinstance(node, ast.Attribute) else None)
+            if name in ("ScatteredAtom", "DenseAtom"):
+                leaks.append(f"{path.name}:{name}")
+            if (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                    and node.func.attr == "atoms"):
+                leaks.append(f"{path.name}:{node.lineno}: .atoms(")
+    assert leaks == []
 
 
 class TestRightDerivative:

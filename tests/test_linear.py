@@ -16,7 +16,7 @@ from cfts.linear import (
     solve_linear_trajectory,
 )
 from cfts.signals import Closure, Sampled, constant, value
-from cfts.timescale import ContinuousInterval, TimeScale, UniformGrid
+from cfts.timescale import ContinuousInterval, IsolatedPoint, TimeScale, UniformGrid
 
 from .oracles import oracle_classical, oracle_linear_discrete
 
@@ -124,6 +124,28 @@ class TestTrajectory:
         for k in (0, 1, 7, 19, 25):
             assert traj.values[k] == pytest.approx(
                 solve_linear(prob, float(k)), rel=1e-12)
+        # hybrid: dense pieces, grid steps, the gaps around an isolated point
+        hyb = TimeScale.of(ContinuousInterval(0.0, 1.0), UniformGrid(1.5, 0.25, 5),
+                           IsolatedPoint(3.0), ContinuousInterval(3.5, 4.5))
+        prob = _mk(hyb, 0.4, Closure(math.sin), 0.7, 0.3)
+        traj = solve_linear_trajectory(prob, horizon=4.5)
+        picks = [*range(0, len(traj.mesh), 37), *range(255, 265), len(traj.mesh) - 1]
+        for k in picks:
+            assert traj.values[k] == pytest.approx(
+                solve_linear(prob, traj.mesh[k]), rel=1e-12)
+
+    def test_sampled_forcing_on_a_dense_run(self):
+        # the midpoint-weighted trapezoid rule on the stored mesh is O(h^2)
+        # away from the quadrature of the same forcing
+        ts = TimeScale.interval(0.0, 2.0)
+        mesh = ts.mesh(0.0, 2.0)
+        exact = Closure(math.sin)
+        table = Sampled(mesh, tuple(math.sin(t) for t in mesh))
+        for alpha in (0.6, 1.0):
+            got = [solve_linear_trajectory(_mk(ts, -2.0, u, 1.0, alpha), horizon=2.0)
+                   if alpha < 1.0 else classical_trajectory(ts, -2.0, u, 1.0, horizon=2.0)
+                   for u in (exact, table)]
+            assert got[1].values == pytest.approx(got[0].values, abs=2e-5)
 
     def test_near_classical_limit(self):
         us = [1.0] * 31

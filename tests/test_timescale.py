@@ -108,6 +108,10 @@ class TestNormalization:
             UniformGrid(0.0, -1.0, 5)
         with pytest.raises(ValueError):
             UniformGrid(0.0, 1.0, 0)
+        for bad in (UniformGrid(0.0, math.nan, 5), UniformGrid(0.0, math.inf, 3),
+                    IsolatedPoint(math.nan), IsolatedPoint(math.inf)):
+            with pytest.raises(ValueError):
+                TimeScale.of(ContinuousInterval(-2.0, -1.0), bad)
 
 
 class TestClassification:
@@ -210,6 +214,37 @@ def test_classification_consistent_with_jumps(ts, frac):
             assert rs and not ls
         else:
             assert ls and not rs
+
+
+@settings(max_examples=80, deadline=None)
+@given(timescales(), st.data())
+def test_cells_tile_the_mesh(ts, data):
+    full = ts.mesh(ts.t_min, ts.t_max, max_step=0.3)
+    keep = data.draw(st.lists(st.booleans(), min_size=len(full), max_size=len(full)))
+    sub = [t for t, k in zip(full, keep) if k] or [full[0]]
+    meshes = [sub, [sub[0]], [full[-1], full[-1]]]
+    if ts.t_max > ts.t_min:
+        meshes.append([ts.t_min, ts.t_max])
+    for mesh in meshes:
+        cells = list(ts.cells(mesh))
+        if mesh[0] == mesh[-1]:
+            assert cells == []
+            continue
+        assert cells[0][0] == mesh[0]
+        assert cells[-1][1] == mesh[-1]
+        for (_, hi, _), (lo, _, _) in zip(cells, cells[1:]):
+            assert lo == hi
+        ends = {hi for _, hi, _ in cells}
+        assert all(t in ends for t in mesh[1:])
+        for lo, hi, mu in cells:
+            assert lo < hi
+            if mu:
+                assert hi == ts.sigma(lo)
+                assert mu == ts.mu(lo)
+            else:
+                assert mu == 0.0
+                assert any(isinstance(s, ContinuousInterval) and s.a <= lo and hi <= s.b
+                           for s in ts.segments)
 
 
 def _probe_points(ts, frac):
