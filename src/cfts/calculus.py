@@ -23,7 +23,7 @@ from .errors import (
     QuadratureNonConvergence,
 )
 from .signals import Closure, Sampled, Signal, sampled_slope, value
-from .timescale import ContinuousInterval, TimeScale
+from .timescale import TimeScale
 
 #: Absolute tolerance for quadrature over continuous runs.
 QUAD_TOL = 1e-10
@@ -109,8 +109,7 @@ def delta_derivative(ts: TimeScale, f: Signal, t: float,
         return f.derivative(t)
     i, t = ts._locate(t)
     seg = ts.segments[i]
-    assert isinstance(seg, ContinuousInterval)
-    return _richardson_derivative(f.func, t, seg.a, seg.b, tol)
+    return _richardson_derivative(f.func, t, seg.lo, seg.hi, tol)
 
 
 def delta_integral(ts: TimeScale, f: Signal, a: float, b: float,

@@ -14,8 +14,10 @@ trajectory through the fractional operator: for alpha < 1 the whole column
 comes from one forward kernel march over the mesh (O(n)), and alpha = 1
 uses the classical delta-equation defect.  A maximum residual above
 RESIDUAL_GATE prints a warning naming the start-up condition of the
-scenario kind.  The environment variable CFTS_TOL overrides the default
-numeric tolerance (quadrature and fixed-point stopping; default 1e-10).
+scenario kind; a run that leaves the float range is an error and writes
+no CSV.  The environment variable CFTS_TOL overrides the default numeric
+tolerance (a finite number >= 0; quadrature and fixed-point stopping;
+default 1e-10).
 """
 
 from __future__ import annotations
@@ -27,7 +29,13 @@ import sys
 from pathlib import Path
 
 from .config import ConfigError, Scenario, _floats, build_rhs, build_signal, parse_config
-from .errors import DomainError, NonRegressiveParameter, NotContractive, PointNotInTimeScale
+from .errors import (
+    DomainError,
+    MaxIterationsExceeded,
+    NonRegressiveParameter,
+    NotContractive,
+    PointNotInTimeScale,
+)
 from .fractional import CFOrder
 from .linear import (
     LinearCFProblem,
@@ -106,6 +114,16 @@ def _self_check(name: str, alpha: float, residuals, condition: str) -> None:
               file=sys.stderr)
 
 
+def _require_finite(name: str, alpha: float, traj, residuals) -> None:
+    """Reject a run that left the float range before any CSV is written;
+    the NaN residual in the last row of an alpha = 1 run is by design."""
+    last = len(traj.mesh) - 1
+    for i, (t, x, r) in enumerate(zip(traj.mesh, traj.values, residuals)):
+        if not (math.isfinite(x) and (math.isfinite(r) or (alpha == 1.0 and i == last))):
+            raise DomainError(f"{name} alpha={_alpha_tag(alpha)}: the trajectory "
+                              f"leaves the float range at t = {t:g}")
+
+
 def _scenario_verdict(scn: Scenario, alpha: float) -> tuple:
     segs = scn.ts.segments
     if len(segs) == 1 and isinstance(segs[0], UniformGrid):
@@ -128,11 +146,12 @@ def cmd_simulate(config_path: str, out_dir: str, tol: float) -> int:
         if scn.kind != "linear":
             raise ConfigError(
                 f"scenario '{scn.name}' is nonlinear; use 'cfts solve-nonlinear'")
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-
     jobs = [(scn, alpha) for scn in scenarios for alpha in scn.alphas]
     results = [_linear_trajectory(scn, alpha, tol) for scn, alpha in jobs]
+    for (scn, alpha), (traj, resid) in zip(jobs, results):
+        _require_finite(scn.name, alpha, traj, resid)
+    out = Path(out_dir)
+    out.mkdir(parents=True, exist_ok=True)
 
     verdicts: dict[str, list[tuple]] = {}
     for (scn, alpha), (traj, resid) in zip(jobs, results):
@@ -369,6 +388,7 @@ _EXITS = (
     ((DomainError, PointNotInTimeScale), 2, "domain error"),
     ((NonRegressiveParameter,), 3, "regressivity violation"),
     ((NotContractive,), 4, "not contractive"),
+    ((MaxIterationsExceeded,), 4, "iteration budget spent"),
 )
 
 
@@ -376,6 +396,8 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         tol = _floats([os.environ.get("CFTS_TOL", "1e-10")], None, "CFTS_TOL")[0]
+        if tol < 0.0:
+            raise ConfigError(f"expected a tolerance >= 0, got {tol:g}", None, "CFTS_TOL")
         if args.command == "simulate":
             return cmd_simulate(args.config, args.out, tol)
         if args.command == "stability":

@@ -114,7 +114,11 @@ def _resolve_mesh(ts: TimeScale, horizon: float | None, steps: int | None,
     if (horizon is None) == (steps is None):
         raise DomainError("give exactly one of horizon (a point) or steps (a count)")
     if horizon is not None:
+        if horizon < 0.0:
+            raise DomainError(f"horizon t = {horizon:g} is before t = 0")
         return ts.mesh(0.0, horizon, max_step)
+    if steps < 0:
+        raise DomainError(f"horizon of {steps} steps is negative")
     mesh = ts.mesh(0.0, ts.t_max, max_step)
     if steps >= len(mesh):
         raise DomainError(

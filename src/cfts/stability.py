@@ -44,10 +44,6 @@ class StabilityVerdict:
     boundary_values: tuple[float, float]
     branch: str = ""
 
-    @property
-    def is_stable(self) -> bool:
-        return self.status == STABLE
-
 
 def _near(x: float, y: float) -> bool:
     if math.isinf(y):

@@ -4,7 +4,8 @@ uniform grids and isolated points on a bounded working window.
 A time scale supplies the jump operators sigma/rho, the graininess mu,
 point classification, and the one cell walk (``TimeScale.cells``) over
 scattered points and dense runs that every kernel loop of the calculus
-layer is built on; no other module reads the atom format.
+layer is built on; ``TimeScale.atoms`` gives the same (lo, hi, mu) cell
+format with each dense run left whole.
 """
 
 from __future__ import annotations
@@ -111,29 +112,6 @@ class PointClass(Enum):
     ISOLATED = "isolated"
     RIGHT_DENSE_LEFT_SCATTERED = "right-dense-left-scattered"
     LEFT_DENSE_RIGHT_SCATTERED = "left-dense-right-scattered"
-
-
-@dataclass(frozen=True)
-class ScatteredAtom:
-    """A right-scattered point t with jump mu = sigma(t) - t > 0."""
-
-    t: float
-    mu: float
-
-
-@dataclass(frozen=True)
-class DenseAtom:
-    """A half-open dense run [lo, hi) inside a continuous interval."""
-
-    lo: float
-    hi: float
-
-    @property
-    def length(self) -> float:
-        return self.hi - self.lo
-
-
-Atom = Union[ScatteredAtom, DenseAtom]
 
 
 def _normalize(segments: Iterable[Segment]) -> tuple[Segment, ...]:
@@ -258,43 +236,42 @@ class TimeScale:
 
     # -- jump operators ---------------------------------------------------
 
-    def sigma(self, t: float) -> float:
-        """Forward jump: the nearest point strictly after t, or t at the max."""
+    def _neighbours(self, t: float) -> tuple[float, float, float]:
+        """(rho(t), t, sigma(t)) for the snapped t, from one lookup."""
         i, t = self._locate(t)
         s = self.segments[i]
-        if isinstance(s, ContinuousInterval) and t < s.b:
-            return t
-        if isinstance(s, UniformGrid):
+        before = self.segments[i - 1].hi if i > 0 else t
+        after = self.segments[i + 1].lo if i + 1 < len(self.segments) else t
+        if isinstance(s, ContinuousInterval):
+            if t > s.a:
+                before = t
+            if t < s.b:
+                after = t
+        elif isinstance(s, UniformGrid):
             k = round((t - s.start) / s.step)
+            if k > 0:
+                before = s.point(k - 1)
             if k < s.count - 1:
-                return s.point(k + 1)
-        if i + 1 < len(self.segments):
-            return self.segments[i + 1].lo
-        return t
+                after = s.point(k + 1)
+        return before, t, after
+
+    def sigma(self, t: float) -> float:
+        """Forward jump: the nearest point strictly after t, or t at the max."""
+        return self._neighbours(t)[2]
 
     def rho(self, t: float) -> float:
         """Backward jump: the nearest point strictly before t, or t at the min."""
-        i, t = self._locate(t)
-        s = self.segments[i]
-        if isinstance(s, ContinuousInterval) and t > s.a:
-            return t
-        if isinstance(s, UniformGrid):
-            k = round((t - s.start) / s.step)
-            if k > 0:
-                return s.point(k - 1)
-        if i > 0:
-            return self.segments[i - 1].hi
-        return t
+        return self._neighbours(t)[0]
 
     def mu(self, t: float) -> float:
         """Graininess sigma(t) - t."""
-        t = self.snap(t)
-        return self.sigma(t) - t
+        _, t, after = self._neighbours(t)
+        return after - t
 
     def classify(self, t: float) -> PointClass:
-        t = self.snap(t)
-        right_scattered = self.sigma(t) > t
-        left_scattered = self.rho(t) < t
+        before, t, after = self._neighbours(t)
+        right_scattered = after > t
+        left_scattered = before < t
         if right_scattered and left_scattered:
             return PointClass.ISOLATED
         if not right_scattered and not left_scattered:
@@ -312,20 +289,22 @@ class TimeScale:
 
         The left-scattered maximum of a bounded window is excluded.
         """
-        t = self.snap(t)
-        if t < self.t_max:
-            return True
-        return self.rho(self.t_max) == self.t_max  # max is left-dense
+        before, t, _ = self._neighbours(t)
+        return t < self.t_max or before == t  # the max only if left-dense
 
     # -- structure walks --------------------------------------------------
 
-    def atoms(self, a: float, b: float) -> list[Atom]:
-        """Decompose [a, b) into scattered points and maximal dense runs."""
+    def atoms(self, a: float, b: float) -> list[tuple[float, float, float]]:
+        """The cells (lo, hi, mu) of [a, b) with dense runs left whole.
+
+        A scattered point t gives (t, sigma(t), mu(t)); a maximal dense run
+        gives (lo, hi, 0.0).  Each hi is the exact lo of the next cell, or b.
+        """
         a = self.snap(a)
         b = self.snap(b)
         if b < a:
             raise ValueError(f"need a <= b, got a={a}, b={b}")
-        out: list[Atom] = []
+        out: list[tuple[float, float, float]] = []
         if a == b:
             return out
         for i, s in enumerate(self.segments):
@@ -337,9 +316,9 @@ class TimeScale:
             if isinstance(s, ContinuousInterval):
                 lo, hi = max(s.a, a), min(s.b, b)
                 if hi > lo:
-                    out.append(DenseAtom(lo, hi))
-                if s.b < b and s.b >= a:
-                    out.append(ScatteredAtom(s.b, nxt - s.b))
+                    out.append((lo, hi, 0.0))
+                if a <= s.b < b:
+                    out.append((s.b, nxt, nxt - s.b))
             elif isinstance(s, UniformGrid):
                 k_lo = max(0, math.ceil((a - s.start) / s.step - 0.5))
                 while s.point(k_lo) < a and not _close(s.point(k_lo), a):
@@ -348,58 +327,49 @@ class TimeScale:
                     t = s.point(k)
                     if t >= b:
                         break
-                    if k < s.count - 1:
-                        out.append(ScatteredAtom(t, s.point(k + 1) - t))
-                    else:
-                        out.append(ScatteredAtom(t, nxt - t))
-            else:
-                if a <= s.t < b:
-                    out.append(ScatteredAtom(s.t, nxt - s.t))
+                    hi = s.point(k + 1) if k < s.count - 1 else nxt
+                    out.append((t, hi, hi - t))
+            elif a <= s.t < b:
+                out.append((s.t, nxt, nxt - s.t))
         return out
 
     def cells(self, mesh: Sequence[float]) -> Iterator[tuple[float, float, float]]:
         """Walk [mesh[0], mesh[-1]) cell by cell, yielding (lo, hi, mu).
 
-        A scattered point lo gives hi = sigma(lo) and mu = hi - lo > 0; a
-        dense run gives one cell per piece between the mesh points inside
-        it, with mu = 0.  The cells tile the span, and every mesh point
-        after the first is the hi of a cell; a one-point span (mesh[0] ==
-        mesh[-1]) has none.  The mesh must be increasing canonical points
-        (as ``snap`` and ``mesh`` return them).
+        These are the cells of ``atoms`` with every dense run cut at the
+        mesh points inside it.  The cells tile the span, and every mesh
+        point after the first is the hi of a cell; a one-point span
+        (mesh[0] == mesh[-1]) has none.  The mesh must be increasing
+        canonical points (as ``snap`` and ``mesh`` return them).
         """
-        atoms = self.atoms(mesh[0], mesh[-1])
-        ends = [x.t if isinstance(x, ScatteredAtom) else x.lo for x in atoms[1:]]
-        ends.append(mesh[-1])
         k = 1  # next mesh point not yet passed
-        for atom, end in zip(atoms, ends):
-            if isinstance(atom, ScatteredAtom):
-                yield atom.t, end, atom.mu
-            else:
-                lo = atom.lo
-                while mesh[k] < end:
+        for lo, hi, mu in self.atoms(mesh[0], mesh[-1]):
+            if not mu:
+                while mesh[k] < hi:
                     yield lo, mesh[k], 0.0
                     lo = mesh[k]
                     k += 1
-                yield lo, end, 0.0
-            if mesh[k] == end:
+            yield lo, hi, mu
+            if mesh[k] == hi:
                 k += 1
 
     def mesh(self, a: float, b: float, max_step: float | None = None) -> tuple[float, ...]:
         """All scattered points of [a, b] plus subdivided dense runs.
 
         Each dense run is split uniformly; by default into pieces no longer
-        than the run's parent interval length divided by DENSE_DIVISIONS.
+        than the run's length divided by DENSE_DIVISIONS.
         """
         a = self.snap(a)
         b = self.snap(b)
         pts: list[float] = []
-        for atom in self.atoms(a, b):
-            if isinstance(atom, ScatteredAtom):
-                pts.append(atom.t)
+        for lo, hi, mu in self.atoms(a, b):
+            if mu:
+                pts.append(lo)
             else:
-                step = max_step if max_step is not None else atom.length / DENSE_DIVISIONS
-                n = max(1, math.ceil(atom.length / step - 1e-9))
-                pts.extend(atom.lo + j * (atom.length / n) for j in range(n))
+                length = hi - lo
+                step = max_step if max_step is not None else length / DENSE_DIVISIONS
+                n = max(1, math.ceil(length / step - 1e-9))
+                pts.extend(lo + j * (length / n) for j in range(n))
         pts.append(b)
         return tuple(pts)
 

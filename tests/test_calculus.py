@@ -68,6 +68,12 @@ class TestDeltaDerivative:
         with pytest.raises(DenseDerivativeUnavailable):
             delta_derivative(TimeScale.interval(0.0, 1.0), lonely, 0.0)
 
+    def test_one_point_scale_has_no_derivative(self):
+        for ts in (TimeScale.of(IsolatedPoint(0.0)), TimeScale.grid(0.0, 0.5, 1)):
+            for f in (Closure(math.sin), Sampled((0.0,), (0.0,))):
+                with pytest.raises(DenseDerivativeUnavailable):
+                    delta_derivative(ts, f, 0.0)
+
 
 class TestDeltaIntegral:
     def test_sum_on_grid(self):

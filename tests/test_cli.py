@@ -6,6 +6,7 @@ import sys
 
 import pytest
 
+import cfts
 from cfts.cli import main
 from cfts.config import ConfigError, build_rhs, build_signal, parse_config
 
@@ -37,15 +38,28 @@ outputs = trajectory residuals
 """
 
 
+FINE_NONLINEAR_CONFIG = """\
+[scenario fine]
+segment = grid 0 0.01 101
+equation = nonlinear
+rhs = sin_x 0.8
+lipschitz = 0.8
+x0 = 1
+window = 0 1
+alpha = 0.5
+outputs = trajectory residuals
+"""
+
+
 def _read(path):
     with open(path) as fh:
         return list(csv.DictReader(fh))
 
 
-def _one_line_error(rc, capsys):
-    """Assert exit code 2 and a single stderr line; return its prefix."""
+def _one_line_error(rc, capsys, code=2):
+    """Assert the exit code (default 2) and a single stderr line; return its prefix."""
     err = capsys.readouterr().err
-    assert rc == 2
+    assert rc == code
     assert "Traceback" not in err
     assert err.endswith("\n") and err.count("\n") == 1
     return err.split(":", 1)[0]
@@ -187,10 +201,13 @@ class TestSimulate:
 
     def test_horizon_beyond_the_window_exit_code(self, tmp_path, capsys):
         cfg = tmp_path / "long.config"
-        cfg.write_text(LINEAR_CONFIG.replace("grid 0 1 31", "grid 0 1 5")
-                       .replace("steps 30", "steps 50"))
-        assert _one_line_error(main(["simulate", str(cfg), "--out", str(tmp_path)]),
-                               capsys) == "domain error"
+        for grid, horizon in (("grid 0 1 5", "steps 50"), ("grid -2 1 6", "time -1"),
+                              ("grid 0 1 5", "steps -1")):
+            cfg.write_text(LINEAR_CONFIG.replace("grid 0 1 31", grid)
+                           .replace("steps 30", horizon))
+            assert _one_line_error(main(["simulate", str(cfg), "--out", str(tmp_path)]),
+                                   capsys) == "domain error"
+        assert not list(tmp_path.glob("*.csv"))
 
     def test_scale_without_zero_exit_code(self, tmp_path, capsys):
         cfg = tmp_path / "shifted.config"
@@ -217,6 +234,19 @@ class TestSimulate:
             assert _one_line_error(main(["simulate", str(cfg), "--out", str(tmp_path)]),
                                    capsys) == "config error"
         assert not list(tmp_path.glob("*.csv"))
+
+    def test_overflow_exit_code(self, tmp_path, capsys):
+        # alpha 0.9: x reaches 4e307 at t = 308, where the residual is already nan;
+        # at 308 steps that nan is in the last row, which only alpha = 1 may have
+        cfg = tmp_path / "blow.config"
+        for alphas, steps in (("0.9 1", "steps 500"), ("0.9", "steps 308")):
+            cfg.write_text(LINEAR_CONFIG.replace("grid 0 1 31", "grid 0 1 501")
+                           .replace("lambda = 0.2", "lambda = 5").replace("x0 = -5", "x0 = 0")
+                           .replace("0.25 0.5", alphas).replace("steps 30", steps))
+            out = tmp_path / "out"
+            assert _one_line_error(main(["simulate", str(cfg), "--out", str(out)]),
+                                   capsys) == "domain error"
+            assert not out.exists()
 
     def test_sample_table_forcing(self, tmp_path):
         us = [1.0, 0.5, -0.25, 2.0, 1.5]
@@ -367,10 +397,30 @@ class TestEnvironmentOverride:
         assert _one_line_error(main(["stability", "--lambda", "1", "--alpha", "0.5",
                                      "--h", "1"]), capsys) == "config error"
 
+    def test_negative_cfts_tol(self, tmp_path, monkeypatch, capsys):
+        cfg = tmp_path / "sin.config"
+        cfg.write_text(FINE_NONLINEAR_CONFIG)
+        monkeypatch.setenv("CFTS_TOL", "-1")
+        assert _one_line_error(main(["solve-nonlinear", str(cfg), "--out", str(tmp_path)]),
+                               capsys) == "config error"
+        assert not list(tmp_path.glob("*.csv"))
+
+    def test_zero_cfts_tol_spends_the_iteration_budget(self, tmp_path, monkeypatch, capsys):
+        # the update stalls at round-off, so a zero tolerance is never met
+        cfg = tmp_path / "affine.config"
+        cfg.write_text(FINE_NONLINEAR_CONFIG.replace("sin_x 0.8", "affine -0.7 0.2")
+                       .replace("lipschitz = 0.8", "lipschitz = 0.9")
+                       .replace("x0 = 1", "x0 = 0"))
+        monkeypatch.setenv("CFTS_TOL", "0")
+        rc = main(["solve-nonlinear", str(cfg), "--out", str(tmp_path)])
+        assert _one_line_error(rc, capsys, code=4) == "iteration budget spent"
+
 
 def test_console_entry_point_runs():
+    # the child imports the same source tree as this suite
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(cfts.__file__)))
     proc = subprocess.run([sys.executable, "-m", "cfts.cli", "stability",
                            "--lambda", "4.2", "--alpha", "0.5", "--h", "1"],
-                          capture_output=True, text=True)
+                          capture_output=True, text=True, env=env)
     assert proc.returncode == 0
     assert "stable" in proc.stdout

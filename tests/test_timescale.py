@@ -57,6 +57,17 @@ class TestJumpOperators:
         with pytest.raises(PointNotInTimeScale):
             HYB.mu(1.7)
 
+    def test_one_lookup_per_operator(self, monkeypatch):
+        calls = []
+        locate = TimeScale._locate
+        monkeypatch.setattr(TimeScale, "_locate",
+                            lambda self, t: calls.append(t) or locate(self, t))
+        for op in ("sigma", "rho", "mu", "classify", "in_kappa_domain"):
+            for t in (0.0, 0.5, 1.0, 2.0):
+                calls.clear()
+                getattr(HYB, op)(t)
+                assert calls == [t], op
+
 
 class TestMembership:
     def test_grid_lattice_snapping(self):
@@ -197,6 +208,7 @@ def test_jump_operator_order(ts, frac):
         assert ts.sigma(t) >= t
         assert ts.rho(t) <= t
         assert ts.mu(t) >= 0.0
+        assert ts.mu(t) == ts.sigma(t) - t
 
 
 @settings(max_examples=60, deadline=None)
@@ -227,6 +239,7 @@ def test_cells_tile_the_mesh(ts, data):
         meshes.append([ts.t_min, ts.t_max])
     for mesh in meshes:
         cells = list(ts.cells(mesh))
+        assert ts.atoms(mesh[0], mesh[-1]) == list(ts.cells((mesh[0], mesh[-1])))
         if mesh[0] == mesh[-1]:
             assert cells == []
             continue
@@ -241,8 +254,11 @@ def test_cells_tile_the_mesh(ts, data):
             if mu:
                 assert hi == ts.sigma(lo)
                 assert mu == ts.mu(lo)
+                assert ts.rho(hi) == lo
             else:
                 assert mu == 0.0
+                assert ts.sigma(lo) == lo
+                assert ts.rho(hi) == hi
                 assert any(isinstance(s, ContinuousInterval) and s.a <= lo and hi <= s.b
                            for s in ts.segments)
 
