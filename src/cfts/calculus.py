@@ -97,12 +97,11 @@ def delta_derivative(ts: TimeScale, f: Signal, t: float,
     difference quotient refined to ``tol`` (default DERIV_TOL).
     """
     tol = DERIV_TOL if tol is None else tol
-    t = ts.snap(t)
+    _, t, after = ts._neighbours(t)
     if not ts.in_kappa_domain(t):
         raise OutsideKappaDomain(f"t={t!r} is the left-scattered maximum")
-    mu = ts.mu(t)
-    if mu > 0.0:
-        return (value(f, ts, ts.sigma(t)) - value(f, ts, t)) / mu
+    if after > t:
+        return (value(f, ts, after) - value(f, ts, t)) / (after - t)
     if isinstance(f, Sampled):
         return sampled_slope(f, ts, t)
     if f.derivative is not None:

@@ -1,10 +1,14 @@
 """Command-line frontend.
 
-Subcommands: ``simulate`` runs linear scenarios from a config and writes
-one trajectory CSV per (scenario, alpha); ``stability`` classifies
-parameter grids into a verdict table; ``solve-nonlinear`` runs the
-fixed-point solver; ``figures`` reproduces the three bundled demonstration
-scenarios as CSV data plus an optional plot script.
+Subcommands: ``simulate`` runs the linear scenarios of a config and
+``solve-nonlinear`` the nonlinear ones (fixed-point solver, plus a report
+per scenario), writing one trajectory CSV per (scenario, alpha);
+``stability`` classifies parameter grids into a verdict table; ``figures``
+reproduces the three bundled demonstration scenarios as CSV data plus an
+optional plot script.  ``simulate`` and ``solve-nonlinear`` share one
+pipeline: parse the config, solve every job and check that it is finite,
+and only then create the output directory and write, so that an error
+leaves no directory, no file and no stdout line behind.
 
 CSV columns are fixed (trajectories: t,x,residual; verdicts: lambda,alpha,
 h,status,mechanism,p_alpha,threshold_low,threshold_high), values are
@@ -14,10 +18,9 @@ trajectory through the fractional operator: for alpha < 1 the whole column
 comes from one forward kernel march over the mesh (O(n)), and alpha = 1
 uses the classical delta-equation defect.  A maximum residual above
 RESIDUAL_GATE prints a warning naming the start-up condition of the
-scenario kind; a run that leaves the float range is an error and writes
-no CSV.  The environment variable CFTS_TOL overrides the default numeric
-tolerance (a finite number >= 0; quadrature and fixed-point stopping;
-default 1e-10).
+scenario kind.  The environment variable CFTS_TOL overrides the default
+numeric tolerance (a finite number >= 0; quadrature and fixed-point
+stopping; default 1e-10).
 """
 
 from __future__ import annotations
@@ -74,10 +77,12 @@ def _alpha_tag(alpha: float) -> str:
     return f"{alpha:g}"
 
 
-# -- simulate ---------------------------------------------------------------
+# -- simulate and solve-nonlinear --------------------------------------------
 
 
 def _linear_trajectory(scn: Scenario, alpha: float, tol: float):
+    """Solve one linear job: the trajectory, its residual column, and the
+    verdict row when the scenario asks for one (alpha < 1), else None."""
     # a sample table is given on the run mesh
     mesh = (_resolve_mesh(scn.ts, scn.horizon, scn.steps, None)
             if scn.u_spec[0] == "samples" else None)
@@ -85,17 +90,29 @@ def _linear_trajectory(scn: Scenario, alpha: float, tol: float):
     if alpha == 1.0:
         traj = classical_trajectory(scn.ts, scn.lam, u, scn.x0,
                                     horizon=scn.horizon, steps=scn.steps, tol=tol)
-        resid = []
-        for i, t in enumerate(traj.mesh):
-            if i + 1 < len(traj.mesh):
-                resid.append(classical_residual(scn.ts, scn.lam, u, traj, t))
-            else:
-                resid.append(math.nan)  # sigma(t) beyond the sampled horizon
-        return traj, resid
+        # at the last point sigma(t) lies beyond the sampled horizon
+        resid = [classical_residual(scn.ts, scn.lam, u, traj, t)
+                 for t in traj.mesh[:-1]] + [math.nan]
+        return traj, resid, None
     prob = LinearCFProblem(scn.ts, scn.lam, u, scn.x0, CFOrder(alpha))
     traj = solve_linear_trajectory(prob, horizon=scn.horizon, steps=scn.steps,
                                    tol=tol)
-    return traj, residual_linear_mesh(prob, traj, traj.mesh, tol)
+    verdict = _scenario_verdict(scn, alpha) if "verdict" in scn.outputs else None
+    return traj, residual_linear_mesh(prob, traj, traj.mesh, tol), verdict
+
+
+def _nonlinear_trajectory(scn: Scenario, alpha: float, tol: float):
+    """Solve one nonlinear job: the fixed point, its residual column, and
+    its line of the scenario report."""
+    prob = NonlinearCFProblem(scn.ts, build_rhs(scn.rhs_spec), scn.lipschitz,
+                              scn.window[0], scn.window[1], scn.x0, CFOrder(alpha))
+    result = picard_solve(prob, tol=tol)
+    traj = result.solution
+    line = (f"scenario={scn.name} alpha={_alpha_tag(alpha)} "
+            f"q={_fmt(result.contraction_q)} iterations={result.iterations} "
+            f"final_defect={_fmt(result.final_defect)} "
+            f"apriori_bound={_fmt(result.apriori_bound)}")
+    return traj, residual_nonlinear_mesh(prob, traj, traj.mesh), line
 
 
 #: Why a large residual is expected, by scenario kind: the operator vanishes
@@ -128,10 +145,8 @@ def _scenario_verdict(scn: Scenario, alpha: float) -> tuple:
     segs = scn.ts.segments
     if len(segs) == 1 and isinstance(segs[0], UniformGrid):
         h = segs[0].step
-        v = classify_hz(scn.lam, alpha, h)
-        return verdict_row(scn.lam, alpha, h, v)
-    v = classify_r(scn.lam, alpha)
-    return verdict_row(scn.lam, alpha, None, v)
+        return verdict_row(scn.lam, alpha, h, classify_hz(scn.lam, alpha, h))
+    return verdict_row(scn.lam, alpha, None, classify_r(scn.lam, alpha))
 
 
 def verdict_row(lam: float, alpha: float, h: float | None,
@@ -140,30 +155,50 @@ def verdict_row(lam: float, alpha: float, h: float | None,
             v.p_alpha, v.boundary_values[0], v.boundary_values[1])
 
 
-def cmd_simulate(config_path: str, out_dir: str, tol: float) -> int:
+def _run(config_path: str, out_dir: str, tol: float, kind: str) -> int:
+    """The pipeline of ``simulate`` (kind 'linear') and ``solve-nonlinear``
+    (kind 'nonlinear'): solve and check every job, then write."""
+    # kind -> (subcommand, job, start-up condition); built per call so that
+    # a rebinding of a job function (a tracing wrapper, say) is seen
+    kinds = {"linear": ("simulate", _linear_trajectory, _LINEAR_CONDITION),
+             "nonlinear": ("solve-nonlinear", _nonlinear_trajectory,
+                           _NONLINEAR_CONDITION)}
     scenarios = parse_config(Path(config_path).read_text())
     for scn in scenarios:
-        if scn.kind != "linear":
-            raise ConfigError(
-                f"scenario '{scn.name}' is nonlinear; use 'cfts solve-nonlinear'")
-    jobs = [(scn, alpha) for scn in scenarios for alpha in scn.alphas]
-    results = [_linear_trajectory(scn, alpha, tol) for scn, alpha in jobs]
-    for (scn, alpha), (traj, resid) in zip(jobs, results):
-        _require_finite(scn.name, alpha, traj, resid)
+        if scn.kind != kind:
+            raise ConfigError(f"scenario '{scn.name}' is {scn.kind}; "
+                              f"use 'cfts {kinds[scn.kind][0]}'")
+    _, job, condition = kinds[kind]
+    runs = []
+    for scn in scenarios:
+        for alpha in scn.alphas:
+            traj, resid, summary = job(scn, alpha, tol)
+            _require_finite(scn.name, alpha, traj, resid)
+            runs.append((scn.name, alpha, traj, resid, summary))
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-
-    verdicts: dict[str, list[tuple]] = {}
-    for (scn, alpha), (traj, resid) in zip(jobs, results):
-        _self_check(scn.name, alpha, resid, _LINEAR_CONDITION)
-        path = out / f"{scn.name}_alpha{_alpha_tag(alpha)}.csv"
-        _write_csv(path, TRAJECTORY_HEADER,
+    summaries: dict[str, list] = {}
+    for name, alpha, traj, resid, summary in runs:
+        _self_check(name, alpha, resid, condition)
+        _write_csv(out / f"{name}_alpha{_alpha_tag(alpha)}.csv", TRAJECTORY_HEADER,
                    zip(traj.mesh, traj.values, resid))
-        if "verdict" in scn.outputs and alpha < 1.0:
-            verdicts.setdefault(scn.name, []).append(_scenario_verdict(scn, alpha))
-    for name, rows in verdicts.items():
-        _write_csv(out / f"{name}_verdicts.csv", VERDICT_HEADER, rows)
+        if summary is not None:
+            summaries.setdefault(name, []).append(summary)
+    for name, rows in summaries.items():
+        if kind == "linear":
+            _write_csv(out / f"{name}_verdicts.csv", VERDICT_HEADER, rows)
+        else:
+            (out / f"{name}_report.txt").write_text("\n".join(rows) + "\n")
+            print("\n".join(rows))
     return 0
+
+
+def cmd_simulate(config_path: str, out_dir: str, tol: float) -> int:
+    return _run(config_path, out_dir, tol, "linear")
+
+
+def cmd_solve_nonlinear(config_path: str, out_dir: str, tol: float) -> int:
+    return _run(config_path, out_dir, tol, "nonlinear")
 
 
 # -- stability --------------------------------------------------------------
@@ -198,44 +233,6 @@ def cmd_stability(lams, alphas, hs, continuous: bool, out_path: str | None) -> i
         sys.stdout.write(",".join(VERDICT_HEADER) + "\n")
         for row in rows:
             sys.stdout.write(",".join(_fmt(v) for v in row) + "\n")
-    return 0
-
-
-# -- solve-nonlinear --------------------------------------------------------
-
-
-def cmd_solve_nonlinear(config_path: str, out_dir: str, tol: float) -> int:
-    scenarios = parse_config(Path(config_path).read_text())
-    for scn in scenarios:
-        if scn.kind != "nonlinear":
-            raise ConfigError(
-                f"scenario '{scn.name}' is linear; use 'cfts simulate'")
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    for scn in scenarios:
-        report_lines = []
-        for alpha in scn.alphas:
-            if alpha >= 1.0:
-                raise ConfigError(
-                    f"scenario '{scn.name}': the fixed-point solver needs alpha < 1")
-            rhs = build_rhs(scn.rhs_spec)
-            prob = NonlinearCFProblem(scn.ts, rhs, scn.lipschitz, scn.window[0],
-                                      scn.window[1], scn.x0, CFOrder(alpha))
-            result = picard_solve(prob, tol=tol)
-            traj = result.solution
-            resid = residual_nonlinear_mesh(prob, traj, traj.mesh)
-            _self_check(scn.name, alpha, resid, _NONLINEAR_CONDITION)
-            path = out / f"{scn.name}_alpha{_alpha_tag(alpha)}.csv"
-            _write_csv(path, TRAJECTORY_HEADER, zip(traj.mesh, traj.values, resid))
-            report_lines.append(
-                f"scenario={scn.name} alpha={_alpha_tag(alpha)} "
-                f"q={_fmt(result.contraction_q)} iterations={result.iterations} "
-                f"final_defect={_fmt(result.final_defect)} "
-                f"apriori_bound={_fmt(result.apriori_bound)}")
-        report = out / f"{scn.name}_report.txt"
-        report.write_text("\n".join(report_lines) + "\n")
-        for line in report_lines:
-            print(line)
     return 0
 
 
@@ -333,13 +330,13 @@ def cmd_figures(which: int, out_dir: str, tol: float, plot_script: bool) -> int:
     out.mkdir(parents=True, exist_ok=True)
     cfg_path = out / f"fig{which}.config"
     cfg_path.write_text(text)
-    rc = cmd_simulate(str(cfg_path), str(out), tol)
-    if rc == 0 and plot_script:
+    cmd_simulate(str(cfg_path), str(out), tol)
+    if plot_script:
         files = [f"{scn.name}_alpha{_alpha_tag(a)}.csv"
                  for scn in parse_config(text) for a in scn.alphas]
         script = _PLOT_TEMPLATE.format(files=files, png=f"fig{which}.png")
         (out / f"plot_fig{which}.py").write_text(script)
-    return rc
+    return 0
 
 
 # -- entry point ------------------------------------------------------------

@@ -12,7 +12,8 @@ a comment.  Keys:
     lipschitz = <float>                 (nonlinear)
     window    = a b                     (nonlinear)
     x0        = <float>
-    alpha     = <float> [<float> ...]   (values in [0, 1]; 1 = classical path)
+    alpha     = <float> [<float> ...]   (linear: values in [0, 1], 1 = classical
+                                         path; nonlinear: values in [0, 1))
     horizon   = steps n | time t        (linear)
     outputs   = trajectory [verdict] [residuals]
 """
@@ -20,7 +21,7 @@ a comment.  Keys:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 from .signals import Closure, Sampled, Signal, constant
@@ -167,6 +168,8 @@ def _build_scenario(name: str, header_line: int,
             raise ConfigError("horizon must be 'steps N' or 'time T'",
                               h_line, "horizon")
     else:
+        if any(a >= 1.0 for a in alphas):
+            raise ConfigError("the fixed-point solver needs alpha < 1", a_line, "alpha")
         r_val, r_line = need("rhs")
         rhs_spec = tuple(r_val.split())
         build_rhs(rhs_spec, r_line)  # validate eagerly

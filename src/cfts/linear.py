@@ -159,7 +159,6 @@ def residual_linear(prob: LinearCFProblem, x: Signal, t: float,
 
 def classical_trajectory(ts: TimeScale, lam: float, u, x0: float,
                          horizon: float | None = None, steps: int | None = None,
-                         max_step: float | None = None,
                          tol: float | None = None) -> Sampled:
     """Exact trajectory of the classical delta equation x^delta = lambda*x + u.
 
@@ -169,7 +168,7 @@ def classical_trajectory(ts: TimeScale, lam: float, u, x0: float,
     """
     tol = QUAD_TOL if tol is None else tol
     u = as_signal(u)
-    mesh = _resolve_mesh(ts, horizon, steps, max_step)
+    mesh = _resolve_mesh(ts, horizon, steps, None)
     xs = [x0]
     for lo, hi, mu in ts.cells(mesh):  # the cells are the steps of a ts.mesh
         x = xs[-1]

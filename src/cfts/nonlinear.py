@@ -96,8 +96,7 @@ def _cumulative_integral(cells: list[tuple[float, float, float]],
 
 def picard_solve(prob: NonlinearCFProblem, tol: float = DEFAULT_TOL,
                  max_iter: int = DEFAULT_MAX_ITER, start: Signal | None = None,
-                 check_lipschitz: bool = False,
-                 max_step: float | None = None) -> PicardResult:
+                 check_lipschitz: bool = False) -> PicardResult:
     """Iterate x <- N x on the mesh of [a, b] until the sup-norm update
     drops below ``tol``.
 
@@ -111,7 +110,7 @@ def picard_solve(prob: NonlinearCFProblem, tol: float = DEFAULT_TOL,
         raise NotContractive(q, max_contractive_window(prob.lipschitz_l,
                                                        prob.order.alpha))
     ts, f, alpha = prob.ts, prob.rhs, prob.order.alpha
-    mesh = ts.mesh(prob.a, prob.b, max_step)
+    mesh = ts.mesh(prob.a, prob.b)
     cells = list(ts.cells(mesh))  # one cell per mesh step
     if start is None:
         x = [prob.x0] * len(mesh)

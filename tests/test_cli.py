@@ -57,9 +57,11 @@ def _read(path):
 
 
 def _one_line_error(rc, capsys, code=2):
-    """Assert the exit code (default 2) and a single stderr line; return its prefix."""
-    err = capsys.readouterr().err
+    """Assert the exit code (default 2), a single stderr line and an empty
+    stdout; return the prefix of the stderr line."""
+    out, err = capsys.readouterr()
     assert rc == code
+    assert out == ""
     assert "Traceback" not in err
     assert err.endswith("\n") and err.count("\n") == 1
     return err.split(":", 1)[0]
@@ -97,6 +99,11 @@ class TestConfigParsing:
     def test_alpha_range_checked(self):
         with pytest.raises(ConfigError):
             parse_config(LINEAR_CONFIG.replace("0.25 0.5", "1.5"))
+
+    def test_nonlinear_alpha_one_rejected(self):
+        with pytest.raises(ConfigError) as err:
+            parse_config(FINE_NONLINEAR_CONFIG.replace("alpha = 0.5", "alpha = 0.5 1"))
+        assert (err.value.line, err.value.field) == (8, "alpha")
 
     def test_signal_forms(self):
         poly = build_signal(("poly", "1", "0", "2"))
@@ -248,6 +255,16 @@ class TestSimulate:
                                    capsys) == "domain error"
             assert not out.exists()
 
+    def test_late_verdict_error_leaves_no_output(self, tmp_path, capsys):
+        # the stability verdict is undefined at alpha = 0; the error comes
+        # after the alpha = 0.5 job has been solved
+        cfg = tmp_path / "zero.config"
+        cfg.write_text(LINEAR_CONFIG.replace("0.25 0.5", "0.5 0"))
+        out = tmp_path / "out"
+        assert _one_line_error(main(["simulate", str(cfg), "--out", str(out)]),
+                               capsys) == "domain error"
+        assert not out.exists()
+
     def test_sample_table_forcing(self, tmp_path):
         us = [1.0, 0.5, -0.25, 2.0, 1.5]
         cfg = tmp_path / "tab.config"
@@ -353,6 +370,22 @@ class TestSolveNonlinear:
         cfg = tmp_path / "demo.config"
         cfg.write_text(LINEAR_CONFIG)
         assert main(["solve-nonlinear", str(cfg), "--out", str(tmp_path)]) == 2
+
+    def test_late_errors_leave_no_output(self, tmp_path, capsys):
+        # each input fails after a first job that alone would succeed and warn
+        wide = (FINE_NONLINEAR_CONFIG.replace("fine", "wide")
+                .replace("grid 0 0.01 101", "grid 0 0.01 501")
+                .replace("window = 0 1", "window = 0 5"))  # q = (0.5 + 0.5*5)*0.8
+        cfg = tmp_path / "nl.config"
+        out = tmp_path / "out"
+        for text, code, prefix in (
+                (FINE_NONLINEAR_CONFIG.replace("alpha = 0.5", "alpha = 0.5 1"), 2,
+                 "config error"),
+                (FINE_NONLINEAR_CONFIG + "\n" + wide, 4, "not contractive")):
+            cfg.write_text(text)
+            rc = main(["solve-nonlinear", str(cfg), "--out", str(out)])
+            assert _one_line_error(rc, capsys, code) == prefix
+            assert not out.exists()
 
 
 class TestFigures:

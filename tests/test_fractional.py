@@ -8,7 +8,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import cfts
-from cfts.calculus import delta_derivative, delta_integral, exp_ts, is_regressive
+from cfts.calculus import delta_integral, exp_ts, is_regressive
 from cfts.errors import DomainError, NonRegressiveKernel
 from cfts.fractional import (
     CFOrder,
@@ -251,6 +251,23 @@ def test_oracles_do_not_import_the_package():
         elif isinstance(node, ast.ImportFrom):
             imported.add("." * node.level + (node.module or ""))
     assert imported <= {"__future__", "math", "dataclasses"}
+
+
+def test_no_unused_imports():
+    # package re-exports in __init__.py and __future__ features are exempt
+    paths = [*Path(cfts.__file__).parent.glob("*.py"), *Path(__file__).parent.glob("*.py")]
+    unused = []
+    for path in sorted(p for p in paths if p.name != "__init__.py"):
+        tree = ast.parse(path.read_text())
+        imported = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                imported.update(a.asname or a.name.split(".")[0] for a in node.names)
+            elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+                imported.update(a.asname or a.name for a in node.names)
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        unused += [f"{path.parent.name}/{path.name}:{name}" for name in sorted(imported - used)]
+    assert unused == []
 
 
 def test_only_timescale_knows_the_atom_format():

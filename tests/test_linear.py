@@ -15,7 +15,7 @@ from cfts.linear import (
     solve_linear,
     solve_linear_trajectory,
 )
-from cfts.signals import Closure, Sampled, constant, value
+from cfts.signals import Closure, Sampled, constant
 from cfts.timescale import ContinuousInterval, IsolatedPoint, TimeScale, UniformGrid
 
 from .oracles import oracle_classical, oracle_linear_discrete

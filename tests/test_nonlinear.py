@@ -13,7 +13,7 @@ from cfts.nonlinear import (
     residual_nonlinear,
     residual_nonlinear_mesh,
 )
-from cfts.signals import Closure, constant, value
+from cfts.signals import Closure, constant
 from cfts.timescale import TimeScale
 
 

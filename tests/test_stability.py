@@ -9,7 +9,6 @@ from cfts.linear import LinearCFProblem, solve_linear_trajectory
 from cfts.signals import constant
 from cfts.stability import (
     BOUNDARY,
-    IN_SC,
     IN_SR,
     OUTSIDE,
     REGRESSIVITY_VIOLATION,
