@@ -3,18 +3,21 @@ regressivity, and the time-scale exponential for a constant coefficient.
 
 Scattered points use exact difference quotients and weighted sums; dense
 runs fall back to ordinary calculus (adaptive quadrature, numerical
-differentiation with Richardson extrapolation).  The integral and the
-exponential walk the cells of ``TimeScale.cells``; ``_u_run_integral``, the
-kernel-weighted integral over one dense cell, also serves the linear
-solvers.
+differentiation with Richardson extrapolation).  The quadrature is the
+adaptive Gauss--Kronrod G7/K15 rule of QUADPACK (``qk15`` with a global
+queue of subintervals; Piessens, de Doncker-Kapenga, Ueberhuber & Kahaner,
+QUADPACK, Springer 1983), written against the standard library.  The
+integral and the exponential walk the cells of ``TimeScale.cells``;
+``_u_run_integral``, the kernel-weighted integral over one dense cell, also
+serves the linear solvers.
 """
 
 from __future__ import annotations
 
+import heapq
 import math
+import sys
 from typing import Callable, Sequence
-
-from scipy import integrate
 
 from .errors import (
     DenseDerivativeUnavailable,
@@ -34,15 +37,83 @@ DERIV_TOL = 1e-8
 _RICHARDSON_LEVELS = 10
 
 
+# QUADPACK qk15: the 15 Kronrod abscissae on [-1, 1] (positive half,
+# descending) with their weights; the odd-indexed abscissae are the 7-point
+# Gauss nodes, whose weights are _WG.
+_XGK = (0.991455371120812639206854697526329, 0.949107912342758524526189684047851,
+        0.864864423359769072789712788640926, 0.741531185599394439863864773280788,
+        0.586087235467691130294144845693013, 0.405845151377397166906606412076961,
+        0.207784955007898467600689403773245, 0.0)
+_WGK = (0.022935322010529224963732008058970, 0.063092092629978553290700663189204,
+        0.104790010322250183839876322541518, 0.140653259715525918745189590510238,
+        0.169004726639267902826583426598550, 0.190350578064785409913256402421014,
+        0.204432940075298892414161999234649, 0.209482141084727828012999174891714)
+_WG = (0.129484966168869693270611432679082, 0.279705391489276667901467771423780,
+       0.381830050505118944950369775488975, 0.417959183673469387755102040816327)
+
+#: Subintervals the adaptive rule may use before it gives up.
+QUAD_LIMIT = 200
+
+_EPS = sys.float_info.epsilon
+
+
+def _qk15(fn: Callable[[float], float], a: float, b: float) -> tuple[float, float]:
+    """K15 value of the integral of fn over [a, b] and QUADPACK's error
+    estimate: the G7/K15 difference scaled by resasc, floored at round-off."""
+    c, h = 0.5 * (a + b), 0.5 * (b - a)
+    fc = fn(c)
+    res_g, res_k = fc * _WG[3], fc * _WGK[7]
+    res_abs = abs(res_k)
+    pairs = []
+    for j, x in enumerate(_XGK[:7]):
+        f1, f2 = fn(c - h * x), fn(c + h * x)
+        pairs.append((f1, f2))
+        if j % 2:
+            res_g += _WG[j // 2] * (f1 + f2)
+        res_k += _WGK[j] * (f1 + f2)
+        res_abs += _WGK[j] * (abs(f1) + abs(f2))
+    mean = 0.5 * res_k
+    res_asc = _WGK[7] * abs(fc - mean) + sum(
+        w * (abs(f1 - mean) + abs(f2 - mean)) for w, (f1, f2) in zip(_WGK, pairs))
+    res_abs *= h
+    res_asc *= h
+    err = abs((res_k - res_g) * h)
+    if res_asc and err:
+        err = res_asc * min(1.0, (200.0 * err / res_asc) ** 1.5)
+    if res_abs > sys.float_info.min / (50.0 * _EPS):
+        err = max(50.0 * _EPS * res_abs, err)
+    return res_k * h, err
+
+
 def _quad(fn: Callable[[float], float], lo: float, hi: float, tol: float,
           points: Sequence[float] | None = None) -> float:
+    """Integral of fn over [lo, hi], split first at the ``points`` inside
+    (lo, hi), then by bisecting the subinterval with the largest error
+    estimate until the summed estimate is at most max(tol, rel*|integral|)
+    with rel = max(1e-12, tol)."""
     if hi <= lo:
         return 0.0
-    out = integrate.quad(fn, lo, hi, epsabs=tol, epsrel=max(1e-12, tol),
-                         limit=200, points=points, full_output=1)
-    if len(out) > 3:
-        raise QuadratureNonConvergence(f"quadrature on [{lo}, {hi}]: {out[3]}")
-    return out[0]
+    ends = [lo, *sorted(p for p in points or () if lo < p < hi), hi]
+    queue = []  # (-error estimate, a, b, value): the worst subinterval first
+    for a, b in zip(ends, ends[1:]):
+        val, err = _qk15(fn, a, b)
+        queue.append((-err, a, b, val))
+    heapq.heapify(queue)
+    rel = max(1e-12, tol)
+    while True:
+        total = math.fsum(q[3] for q in queue)
+        err = -math.fsum(q[0] for q in queue)
+        if err <= max(tol, rel * abs(total)):
+            return total
+        if len(queue) >= QUAD_LIMIT:
+            raise QuadratureNonConvergence(
+                f"error estimate {err:.3g} on [{lo!r}, {hi!r}] "
+                f"after {QUAD_LIMIT} subintervals")
+        _, a, b, _ = heapq.heappop(queue)
+        mid = 0.5 * (a + b)
+        for a, b in ((a, mid), (mid, b)):
+            val, err = _qk15(fn, a, b)
+            heapq.heappush(queue, (-err, a, b, val))
 
 
 def _richardson_derivative(f: Callable[[float], float], t: float,

@@ -21,6 +21,11 @@ RESIDUAL_GATE prints a warning naming the start-up condition of the
 scenario kind.  The environment variable CFTS_TOL overrides the default
 numeric tolerance (a finite number >= 0; quadrature and fixed-point
 stopping; default 1e-10).
+
+Errors exit with a code and a one-line message on stderr: 2 for a config
+or domain error, 3 for a regressivity violation, 4 for a fixed-point
+iteration that is not contractive or spends its budget, and 5 for
+quadrature that did not converge.
 """
 
 from __future__ import annotations
@@ -38,6 +43,7 @@ from .errors import (
     NonRegressiveParameter,
     NotContractive,
     PointNotInTimeScale,
+    QuadratureNonConvergence,
 )
 from .fractional import CFOrder
 from .linear import (
@@ -386,6 +392,7 @@ _EXITS = (
     ((NonRegressiveParameter,), 3, "regressivity violation"),
     ((NotContractive,), 4, "not contractive"),
     ((MaxIterationsExceeded,), 4, "iteration budget spent"),
+    ((QuadratureNonConvergence,), 5, "quadrature did not converge"),
 )
 
 

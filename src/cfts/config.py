@@ -1,7 +1,8 @@
 """Plain-text scenario configs for the command-line tools.
 
 Flat key-value lines grouped under ``[scenario NAME]`` headers; '#' starts
-a comment.  Keys:
+a comment.  NAME must be unique within a config, because it names the
+scenario's output files.  Keys:
 
     segment   = interval a b | grid start step count | point t   (repeatable)
     equation  = linear | nonlinear
@@ -82,6 +83,8 @@ def parse_config(text: str) -> list[Scenario]:
             parts = line[1:-1].split()
             if len(parts) != 2 or parts[0] != "scenario":
                 raise ConfigError("section header must be '[scenario NAME]'", lineno)
+            if any(name == parts[1] for name, _, _ in raw):
+                raise ConfigError(f"duplicate scenario name '{parts[1]}'", lineno, "scenario")
             current = []
             raw.append((parts[1], lineno, current))
             continue

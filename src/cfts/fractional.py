@@ -62,14 +62,19 @@ def _kernel_breakpoints(lo: float, hi: float, slope: float) -> list[float] | Non
     """Interior breakpoints aiding quadrature of a sharply peaked kernel.
 
     ``slope`` is the log-derivative of the weight in tau: positive means the
-    weight peaks at the right end of the run.
+    weight peaks at the right end of the run.  With w = 1/|slope| the points
+    hi - w*2^k (lo + w*2^k for a left peak), k = 0, 1, ..., that lie inside
+    the run make every panel about as wide as its distance from the peak,
+    so no panel of the 15-point rule misses the kernel's tail mass.
     """
     if abs(slope) * (hi - lo) < 20.0:
         return None
     w = 1.0 / abs(slope)
-    pts = [hi - 5.0 * w, hi - w] if slope > 0 else [lo + w, lo + 5.0 * w]
-    pts = [p for p in pts if lo < p < hi]
-    return pts or None
+    pts = []
+    while w < hi - lo:
+        pts.append(hi - w if slope > 0 else lo + w)
+        w *= 2.0
+    return pts
 
 
 def _dense_weighted(ts: TimeScale, f: Signal, lo: float, hi: float, rate: float,

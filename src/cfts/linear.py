@@ -138,10 +138,10 @@ def solve_linear_trajectory(prob: LinearCFProblem, horizon: float | None = None,
 def residual_linear_mesh(prob: LinearCFProblem, x: Signal, mesh: Sequence[float],
                          tol: float | None = None) -> list[float]:
     """Defect D^(alpha) x (t) - lambda*x(t) - u(t) at every point of an
-    increasing mesh starting at 0, from one forward kernel march."""
+    increasing mesh starting at 0, from one forward kernel march.  The mesh
+    points are canonical (as ``TimeScale.mesh`` returns them)."""
     ts = prob.ts
-    mesh = [ts.snap(t) for t in mesh]
-    if mesh and mesh[0] != ts.snap(0.0):
+    if mesh and ts.snap(mesh[0]) != ts.snap(0.0):
         raise DomainError("the residual mesh must start at t = 0")
     lhs = cf_delta_left_prefix(ts, x, mesh, prob.order, tol)
     return [d - prob.lam * value(x, ts, t) - value(prob.u, ts, t)

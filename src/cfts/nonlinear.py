@@ -156,10 +156,10 @@ def residual_nonlinear_mesh(prob: NonlinearCFProblem, x: Signal,
                             mesh: Sequence[float],
                             tol: float | None = None) -> list[float]:
     """Defect D^(alpha)_a x (t) - f(t, x(t)) at every point of an increasing
-    mesh starting at a, from one forward kernel march."""
+    mesh starting at a, from one forward kernel march.  The mesh points are
+    canonical (as ``TimeScale.mesh`` returns them)."""
     ts = prob.ts
-    mesh = [ts.snap(t) for t in mesh]
-    if mesh and mesh[0] != prob.a:
+    if mesh and ts.snap(mesh[0]) != prob.a:
         raise DomainError(f"the residual mesh must start at a = {prob.a}")
     lhs = cf_delta_left_prefix(ts, x, mesh, prob.order, tol)
     return [d - prob.rhs(t, value(x, ts, t)) for d, t in zip(lhs, mesh)]

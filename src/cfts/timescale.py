@@ -11,8 +11,10 @@ format with each dense run left whole.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
 from typing import Iterable, Iterator, Sequence, Union
 
 from .errors import PointNotInTimeScale
@@ -96,6 +98,24 @@ class IsolatedPoint:
 
 
 Segment = Union[ContinuousInterval, UniformGrid, IsolatedPoint]
+
+
+def _member(s: Segment, t: float) -> float | None:
+    """The point of segment s that t coincides with, or None."""
+    if isinstance(s, ContinuousInterval):
+        if s.a - _atol(t) <= t <= s.b + _atol(t):
+            if _close(t, s.a):
+                return s.a
+            if _close(t, s.b):
+                return s.b
+            return t
+    elif isinstance(s, UniformGrid):
+        k = round((t - s.start) / s.step)
+        if 0 <= k < s.count and _close(t, s.point(k)):
+            return s.point(k)
+    elif _close(t, s.t):
+        return s.t
+    return None
 
 
 class PointClass(Enum):
@@ -202,26 +222,32 @@ class TimeScale:
     def t_max(self) -> float:
         return self.window[1]
 
+    @cached_property
+    def _los(self) -> tuple[float, ...]:
+        return tuple(s.lo for s in self.segments)
+
     def _locate(self, t: float) -> tuple[int, float]:
-        """Return (segment index, snapped point) or raise PointNotInTimeScale."""
-        for i, s in enumerate(self.segments):
-            if t < s.lo - _atol(t):
+        """Return (segment index, snapped point) or raise PointNotInTimeScale.
+
+        The first segment, in order, with lo - atol(t) <= t that holds t
+        within tolerance wins.  Segments are disjoint and sorted, so
+        bisection bounds the candidates and the search walks back only over
+        segments that end near t.  No non-finite t is a point.
+        """
+        if not math.isfinite(t):
+            raise PointNotInTimeScale(f"t={t!r} is not a point of the time scale")
+        atol = _atol(t)
+        found = None
+        for i in range(bisect_right(self._los, t + 2.0 * atol) - 1, -1, -1):
+            s = self.segments[i]
+            if s.hi < t - 4.0 * atol:
                 break
-            if isinstance(s, ContinuousInterval):
-                if s.a - _atol(t) <= t <= s.b + _atol(t):
-                    if _close(t, s.a):
-                        return i, s.a
-                    if _close(t, s.b):
-                        return i, s.b
-                    return i, t
-            elif isinstance(s, UniformGrid):
-                k = round((t - s.start) / s.step)
-                if 0 <= k < s.count and _close(t, s.point(k)):
-                    return i, s.point(k)
-            else:
-                if _close(t, s.t):
-                    return i, s.t
-        raise PointNotInTimeScale(f"t={t!r} is not a point of the time scale")
+            snapped = _member(s, t) if t >= s.lo - atol else None
+            if snapped is not None:
+                found = i, snapped
+        if found is None:
+            raise PointNotInTimeScale(f"t={t!r} is not a point of the time scale")
+        return found
 
     def __contains__(self, t: float) -> bool:
         try:

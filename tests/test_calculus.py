@@ -1,15 +1,27 @@
+import cmath
 import math
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cfts.calculus import delta_derivative, delta_integral, exp_ts, is_regressive
+from cfts.calculus import (
+    _WG,
+    _WGK,
+    _XGK,
+    _quad,
+    delta_derivative,
+    delta_integral,
+    exp_ts,
+    is_regressive,
+)
 from cfts.errors import (
     DenseDerivativeUnavailable,
     NonRegressiveParameter,
     OutsideKappaDomain,
+    QuadratureNonConvergence,
 )
+from cfts.fractional import _kernel_breakpoints
 from cfts.signals import Closure, Sampled, constant, sample
 from cfts.timescale import ContinuousInterval, IsolatedPoint, TimeScale, UniformGrid
 
@@ -188,3 +200,64 @@ def test_sampled_between_equals_the_full_scan(points, lo, hi):
     for m in mesh:  # bounds that are mesh points themselves
         assert sig.between(m, hi) == tuple(x for x in mesh if m < x < hi)
         assert sig.between(lo, m) == tuple(x for x in mesh if lo < x < m)
+
+
+def _rule_on_unit_interval(nodes, weights, d):
+    """A symmetric rule on [-1, 1], given by its nonnegative nodes (the last
+    one 0) and their weights, applied to x^d over [0, 1]."""
+    total = weights[-1] * 0.5 ** d
+    for x, w in zip(nodes[:-1], weights[:-1]):
+        total += w * ((0.5 - 0.5 * x) ** d + (0.5 + 0.5 * x) ** d)
+    return 0.5 * total
+
+
+class TestGaussKronrod:
+    def test_kronrod_rule_exact_to_degree_22(self):
+        for d in range(23):
+            assert abs(_rule_on_unit_interval(_XGK, _WGK, d) - 1.0 / (d + 1)) <= 1e-15
+
+    def test_gauss_rule_exact_to_degree_13(self):
+        gauss = _XGK[1::2]
+        for d in range(14):
+            assert abs(_rule_on_unit_interval(gauss, _WG, d) - 1.0 / (d + 1)) <= 1e-15
+        assert abs(_rule_on_unit_interval(gauss, _WG, 14) - 1.0 / 15) > 1e-10
+
+    def test_empty_range_is_zero(self):
+        assert _quad(math.exp, 1.0, 1.0, 1e-10) == 0.0
+        assert _quad(math.exp, 2.0, 1.0, 1e-10) == 0.0
+
+    @pytest.mark.parametrize("lo,hi", [(0.0, 1.0), (2.0, 7.5)])
+    @pytest.mark.parametrize("r", [1.0, 30.0, 1e2, 1e3, 1e4])
+    def test_peaked_kernel_matches_closed_form(self, lo, hi, r):
+        # weight exp(rho*(tau - peak)) peaked at either end; without the
+        # kernel breakpoints a 15-point panel misses the mass near the peak
+        for rho, peak in ((r, hi), (-r, lo)):
+            pts = _kernel_breakpoints(lo, hi, rho)
+            got = _quad(lambda t: math.exp(rho * (t - peak)), lo, hi, 1e-13, pts)
+            want = -math.expm1(-r * (hi - lo)) / r
+            assert abs(got - want) <= 1e-12 * max(1.0, abs(want))
+            for omega in (0.5, 7.0, 40.0):
+                got = _quad(lambda t: math.sin(omega * t) * math.exp(rho * (t - peak)),
+                            lo, hi, 1e-13, pts)
+                antiderivative = lambda t: (cmath.exp(complex(rho * (t - peak), omega * t))
+                                            / complex(rho, omega))
+                want = (antiderivative(hi) - antiderivative(lo)).imag
+                assert abs(got - want) <= 1e-12 * max(1.0, abs(want))
+
+    def test_kink_at_a_breakpoint(self):
+        c = 1.0 / 3.0
+        calls = []
+
+        def fn(t):
+            calls.append(t)
+            return math.exp(-abs(t - c))
+
+        want = (1.0 - math.exp(-c)) + (1.0 - math.exp(c - 2.0))
+        # points outside (lo, hi) are ignored; each smooth side is one panel
+        got = _quad(fn, 0.0, 2.0, 1e-13, points=[-1.0, c, 5.0])
+        assert abs(got - want) <= 1e-12
+        assert len(calls) == 30
+
+    def test_unresolved_oscillation_raises(self):
+        with pytest.raises(QuadratureNonConvergence):
+            _quad(lambda t: math.sin(20000.0 * t), 0.0, 50.0, 1e-10)

@@ -116,6 +116,19 @@ class TestConfigParsing:
         with pytest.raises(ConfigError):
             build_signal(("samples", "1", "2"), mesh=(0.0, 1.0, 2.0))
 
+    def test_duplicate_scenario_name_rejected(self, tmp_path, capsys):
+        twice = LINEAR_CONFIG + LINEAR_CONFIG.replace("lambda = 0.2", "lambda = 4.2")
+        with pytest.raises(ConfigError) as err:
+            parse_config(twice)
+        assert (err.value.line, err.value.field) == (12, "scenario")
+        assert "duplicate scenario name 'demo'" in str(err.value)
+        cfg = tmp_path / "twice.config"
+        cfg.write_text(twice)
+        out = tmp_path / "out"
+        assert _one_line_error(main(["simulate", str(cfg), "--out", str(out)]),
+                               capsys) == "config error"
+        assert not out.exists()
+
     def test_rhs_forms(self):
         f = build_rhs(("affine", "0.5", "-1"))
         assert f(0.0, 2.0) == 0.0
@@ -263,6 +276,18 @@ class TestSimulate:
         out = tmp_path / "out"
         assert _one_line_error(main(["simulate", str(cfg), "--out", str(out)]),
                                capsys) == "domain error"
+        assert not out.exists()
+
+    def test_quadrature_failure_exit_code(self, tmp_path, capsys):
+        # 20000 rad/s over each 50/256-long dense cell: 200 subintervals
+        # cannot resolve the forcing
+        cfg = tmp_path / "osc.config"
+        cfg.write_text("[scenario osc]\nsegment = interval 0 50\nequation = linear\n"
+                       "lambda = -0.5\nu = sin 1 20000 0\nx0 = 0\nalpha = 0.5\n"
+                       "horizon = time 50\n")
+        out = tmp_path / "out"
+        assert _one_line_error(main(["simulate", str(cfg), "--out", str(out)]),
+                               capsys, 5) == "quadrature did not converge"
         assert not out.exists()
 
     def test_sample_table_forcing(self, tmp_path):
@@ -457,3 +482,13 @@ def test_console_entry_point_runs():
                           capture_output=True, text=True, env=env)
     assert proc.returncode == 0
     assert "stable" in proc.stdout
+
+
+def test_cli_imports_only_the_standard_library():
+    # modules that site hooks load before cfts is imported are not counted
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(cfts.__file__)))
+    code = ("import sys; before = set(sys.modules); import cfts.cli; "
+            "print(*sorted({m.split('.')[0] for m in set(sys.modules) - before}))")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=env, check=True)
+    assert set(proc.stdout.split()) - set(sys.stdlib_module_names) == {"cfts"}

@@ -11,6 +11,8 @@ from cfts.timescale import (
     PointClass,
     TimeScale,
     UniformGrid,
+    _atol,
+    _close,
     format_segment,
     parse_segment,
     parse_timescale,
@@ -273,3 +275,73 @@ def _probe_points(ts, frac):
         else:
             pts.append(seg.t)
     return [ts.snap(p) for p in pts]
+
+
+def _scan_locate(ts, t):
+    """Reference lookup: the linear scan over every segment in order."""
+    for i, s in enumerate(ts.segments):
+        if t < s.lo - _atol(t):
+            break
+        if isinstance(s, ContinuousInterval):
+            if s.a - _atol(t) <= t <= s.b + _atol(t):
+                if _close(t, s.a):
+                    return i, s.a
+                if _close(t, s.b):
+                    return i, s.b
+                return i, t
+        elif isinstance(s, UniformGrid):
+            k = round((t - s.start) / s.step)
+            if 0 <= k < s.count and _close(t, s.point(k)):
+                return i, s.point(k)
+        elif _close(t, s.t):
+            return i, s.t
+    raise PointNotInTimeScale(f"t={t!r} is not a point of the time scale")
+
+
+@st.composite
+def hybrid_scales(draw):
+    """Up to 40 segments, one-point grids included, each touching the last
+    exactly, within tolerance, just beyond it, or after a gap."""
+    pos = draw(st.floats(-1e4, 1e4))
+    segs = []
+    for _ in range(draw(st.integers(1, 40))):
+        kind = draw(st.sampled_from(["interval", "grid", "point"]))
+        if kind == "interval":
+            length = draw(st.floats(1e-3, 3.0))
+            segs.append(ContinuousInterval(pos, pos + length))
+            pos += length
+        elif kind == "grid":
+            step = draw(st.floats(1e-3, 2.0))
+            count = draw(st.integers(1, 5))
+            segs.append(UniformGrid(pos, step, count))
+            pos += step * (count - 1)
+        else:
+            segs.append(IsolatedPoint(pos))
+        pos += draw(st.one_of(st.just(0.0), st.floats(0.0, 3.0 * _atol(pos)),
+                              st.floats(1e-3, 2.0)))
+    return TimeScale.of(*segs)
+
+
+@settings(max_examples=200, deadline=None)
+@given(hybrid_scales(), st.lists(st.floats(-1.1e4, 1.1e4), max_size=5))
+def test_locate_matches_the_linear_scan(ts, extra):
+    for t in (math.inf, -math.inf, math.nan):  # the scan maps inf into intervals
+        with pytest.raises(PointNotInTimeScale):
+            ts._locate(t)
+    probes = [ts.t_min - 1.0, ts.t_max + 1.0, *extra]
+    probes += [0.5 * (s.hi + n.lo) for s, n in zip(ts.segments, ts.segments[1:])]
+    for s in ts.segments:
+        ends = [s.lo, s.hi, 0.5 * (s.lo + s.hi)]
+        if isinstance(s, UniformGrid):
+            ends += [s.point(k) for k in range(s.count)]
+        for e in ends:
+            probes += [e + f * _atol(e) for f in (-2.0, -1.0, -0.5, 0.0, 0.5, 1.0, 2.0)]
+    for t in probes:
+        try:
+            want = _scan_locate(ts, t)
+        except PointNotInTimeScale:
+            with pytest.raises(PointNotInTimeScale):
+                ts._locate(t)
+            continue
+        i, got = ts._locate(t)
+        assert (i, float.hex(got)) == (want[0], float.hex(want[1])), t
