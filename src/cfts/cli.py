@@ -31,6 +31,7 @@ quadrature that did not converge.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import math
 import os
 import sys
@@ -55,7 +56,7 @@ from .linear import (
     solve_linear_trajectory,
 )
 from .nonlinear import NonlinearCFProblem, picard_solve, residual_nonlinear_mesh
-from .stability import StabilityVerdict, classify_hz, classify_r
+from .stability import StabilityVerdict, _hz, _r, classify_hz, classify_r
 from .timescale import UniformGrid
 
 #: Self-check bound announced for emitted trajectories.
@@ -216,29 +217,44 @@ def _parse_sweep(spec: str, flag: str) -> list[float]:
             lo_s, hi_s, n_s = spec.split(":")
             lo, hi, n = float(lo_s), float(hi_s), int(n_s)
             step = (hi - lo) / max(n - 1, 1)
-            vals = [lo + k * step for k in range(n)] if n >= 2 else [lo]
+            vals = [lo] if n == 1 else [lo + k * step for k in range(n)]
         else:
             vals = [float(s) for s in spec.split(",") if s]
-        if all(math.isfinite(v) for v in vals):
+        if vals and all(math.isfinite(v) for v in vals):
             return vals
     except ValueError:
         pass
-    raise ConfigError(f"bad sweep {spec!r} for {flag}; use finite X | X,Y,... | lo:hi:count")
+    raise ConfigError(f"bad sweep {spec!r} for {flag}; use finite X | X,Y,... | "
+                      "lo:hi:count with count >= 1")
 
 
 def cmd_stability(lams, alphas, hs, continuous: bool, out_path: str | None) -> int:
-    rows = []
-    for h in (hs if not continuous else [None]):
-        for alpha in alphas:
+    """Write the verdict table, one (h, alpha) block of rows at a time.
+
+    Every block's classifier is built, and so its alpha and h checked,
+    before the output is opened, so an error leaves no file and no stdout.
+    Each row is the bytes that ``_fmt`` gives for ``verdict_row``.
+    """
+    blocks = ([(alpha, None) for alpha in alphas] if continuous
+              else [(alpha, h) for h in hs for alpha in alphas])
+    for alpha, h in blocks:
+        _r(alpha) if h is None else _hz(alpha, h)
+    with (open(out_path, "w", newline="") if out_path
+          else contextlib.nullcontext(sys.stdout)) as fh:
+        fh.write(",".join(VERDICT_HEADER) + "\n")
+        for alpha, h in blocks:
+            mid = f",{_fmt(alpha)},{'' if h is None else _fmt(h)},"
+            # the classifier returns one of a few bounds tuples per block
+            tails: dict[tuple, str] = {}
+            lines = []
             for lam in lams:
-                v = classify_r(lam, alpha) if continuous else classify_hz(lam, alpha, h)
-                rows.append(verdict_row(lam, alpha, h, v))
-    if out_path:
-        _write_csv(Path(out_path), VERDICT_HEADER, rows)
-    else:
-        sys.stdout.write(",".join(VERDICT_HEADER) + "\n")
-        for row in rows:
-            sys.stdout.write(",".join(_fmt(v) for v in row) + "\n")
+                v = classify_r(lam, alpha) if h is None else classify_hz(lam, alpha, h)
+                tail = tails.get(v.boundary_values)
+                if tail is None:
+                    tail = tails[v.boundary_values] = ",".join(map(_fmt, v.boundary_values))
+                lines.append(f"{lam:.17g}{mid}{v.status},{v.mechanism},"
+                             f"{v.p_alpha:.17g},{tail}\n")
+            fh.write("".join(lines))
     return 0
 
 
@@ -407,7 +423,7 @@ def main(argv=None) -> int:
         if args.command == "stability":
             lams = _parse_sweep(args.lam, "--lambda")
             alphas = _parse_sweep(args.alpha, "--alpha")
-            hs = _parse_sweep(args.h, "--h") if args.h else []
+            hs = _parse_sweep(args.h, "--h") if args.h is not None else []
             return cmd_stability(lams, alphas, hs, args.continuous, args.out)
         if args.command == "solve-nonlinear":
             return cmd_solve_nonlinear(args.config, args.out, tol)

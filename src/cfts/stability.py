@@ -6,11 +6,22 @@ the real slice of the Hilger disc, p in (-2/h, 0); for the reals,
 Re p < 0, which in terms of lambda reads "lambda < 0 or
 lambda > 1/(1-alpha)".  A windowed average of log|1 + mu*p|/mu provides
 finite-horizon numeric evidence for general hybrid scales.
+
+Everything that depends only on (alpha, h) -- the validation, the branch,
+the thresholds and their bounds tuples -- is computed once per pair in a
+small cache, so that a sweep over lambda pays only for K, p and the
+comparisons.  "On a boundary" means within BOUNDARY_TOL of it: absolute
+at 0, relative (BOUNDARY_TOL * max(1, |x|, |y|)) at a finite nonzero
+threshold y.  A non-finite x is never on a boundary, so an overflowed
+1 + h*p (h near the float maximum) is classified by the sign tests instead
+of being reported as a regressivity violation.
 """
 
 from __future__ import annotations
 
+import functools
 import math
+from collections.abc import Callable
 from dataclasses import dataclass
 
 from .calculus import _kills
@@ -45,10 +56,62 @@ class StabilityVerdict:
     branch: str = ""
 
 
+_NO_BOUNDS = (math.nan, math.nan)
+
+
 def _near(x: float, y: float) -> bool:
-    if math.isinf(y):
-        return False
-    return abs(x - y) <= BOUNDARY_TOL * max(1.0, abs(x), abs(y))
+    """|x - y| <= BOUNDARY_TOL * max(1, |x|, |y|), and never for an x or y
+    that is not finite."""
+    d = abs(x - y)
+    # an infinite x or y makes both sides inf
+    return d <= BOUNDARY_TOL * max(1.0, abs(x), abs(y)) and d != math.inf
+
+
+@functools.lru_cache(maxsize=64)
+def _hz(alpha: float, h: float) -> Callable[[float], StabilityVerdict]:
+    """The step-h grid classifier of one (alpha, h) pair, as a function
+    of lambda; raises DomainError for an alpha or h out of range."""
+    if h <= 0.0:
+        raise DomainError("grid step h must be positive")
+    if not 0.0 < alpha <= 1.0:
+        raise DomainError("classify_hz needs alpha in (0, 1]")
+    abar = 1.0 - alpha
+    A = h * alpha - 2.0 * abar
+    edge = -2.0 / h
+    if A > 0.0:
+        branch = "a"
+        low = -2.0 / A
+        bounds_a = (low, 0.0)
+    else:
+        branch = "b"
+        thr = 2.0 / -A if A < 0.0 else math.inf
+        below, above, between = (-math.inf, 0.0), (thr, math.inf), (0.0, thr)
+
+    def classify(lam: float) -> StabilityVerdict:
+        if not math.isfinite(lam):
+            raise DomainError("lambda must be finite")
+        K = 1.0 - lam * abar
+        if abs(K) <= BOUNDARY_TOL:
+            return StabilityVerdict(REGRESSIVITY_VIOLATION, OUTSIDE, math.nan,
+                                    _NO_BOUNDS, branch)
+        p = lam * alpha / K
+        if abs(1.0 + h * p) <= BOUNDARY_TOL:
+            return StabilityVerdict(REGRESSIVITY_VIOLATION, IN_SR, p,
+                                    _NO_BOUNDS, branch)
+        if branch == "a":
+            bounds, on_edge = bounds_a, _near(lam, low)
+        elif lam < 0.0:
+            bounds, on_edge = below, False
+        else:
+            bounds, on_edge = above if lam > thr else between, _near(lam, thr)
+        if (on_edge or abs(lam) <= BOUNDARY_TOL or abs(p) <= BOUNDARY_TOL
+                or _near(p, edge)):
+            return StabilityVerdict(BOUNDARY, OUTSIDE, p, bounds, branch)
+        stable = edge < p < 0.0
+        return StabilityVerdict(STABLE if stable else UNSTABLE,
+                                IN_SC if stable else OUTSIDE, p, bounds, branch)
+
+    return classify
 
 
 def classify_hz(lam: float, alpha: float, h: float) -> StabilityVerdict:
@@ -60,62 +123,48 @@ def classify_hz(lam: float, alpha: float, h: float) -> StabilityVerdict:
     lambda > 2/(2(1-alpha) - h*alpha).  Both are the real Hilger-circle
     condition p in (-2/h, 0).
     """
-    if h <= 0.0:
-        raise DomainError("grid step h must be positive")
-    if not 0.0 < alpha <= 1.0:
-        raise DomainError("classify_hz needs alpha in (0, 1]")
-    K = 1.0 - lam * (1.0 - alpha)
-    A = h * alpha - 2.0 * (1.0 - alpha)
-    branch = "a" if A > 0.0 else "b"
-    if _near(K, 0.0):
-        return StabilityVerdict(REGRESSIVITY_VIOLATION, OUTSIDE, math.nan,
-                                (math.nan, math.nan), branch)
-    p = lam * alpha / K
-    if _near(1.0 + h * p, 0.0):
-        return StabilityVerdict(REGRESSIVITY_VIOLATION, IN_SR, p,
-                                (math.nan, math.nan), branch)
-    if branch == "a":
-        bounds = (-2.0 / A, 0.0)
-    else:
-        thr = 2.0 / -A if A < 0.0 else math.inf
+    return _hz(alpha, h)(lam)
+
+
+@functools.lru_cache(maxsize=64)
+def _r(alpha: float) -> Callable[[float], StabilityVerdict]:
+    """The continuous classifier of one alpha, as a function of lambda;
+    raises DomainError for an alpha out of range."""
+    if not 0.0 < alpha < 1.0:
+        raise DomainError("classify_r needs alpha in (0, 1)")
+    abar = 1.0 - alpha
+    thr = 1.0 / abar
+    below, above, between = (-math.inf, 0.0), (thr, math.inf), (0.0, thr)
+
+    def classify(lam: float) -> StabilityVerdict:
+        if not math.isfinite(lam):
+            raise DomainError("lambda must be finite")
+        K = 1.0 - lam * abar
+        if abs(K) <= BOUNDARY_TOL:
+            # lambda == 1/(1-alpha) is exactly the upper stability boundary
+            return StabilityVerdict(REGRESSIVITY_VIOLATION, OUTSIDE, math.nan,
+                                    above, "continuous")
+        p = lam * alpha / K
         if lam < 0.0:
-            bounds = (-math.inf, 0.0)
+            bounds = below
         elif lam > thr:
-            bounds = (thr, math.inf)
+            bounds = above
         else:
-            bounds = (0.0, thr)
-    if (_near(lam, bounds[0]) or _near(lam, bounds[1])
-            or _near(p, 0.0) or _near(p, -2.0 / h)):
-        return StabilityVerdict(BOUNDARY, OUTSIDE, p, bounds, branch)
-    stable = -2.0 / h < p < 0.0
-    return StabilityVerdict(STABLE if stable else UNSTABLE,
-                            IN_SC if stable else OUTSIDE, p, bounds, branch)
+            bounds = between
+        if abs(lam) <= BOUNDARY_TOL or _near(lam, thr):
+            return StabilityVerdict(BOUNDARY, OUTSIDE, p, bounds, "continuous")
+        stable = lam < 0.0 or lam > thr
+        assert stable == (p < 0.0)
+        return StabilityVerdict(STABLE if stable else UNSTABLE,
+                                IN_SC if stable else OUTSIDE, p, bounds, "continuous")
+
+    return classify
 
 
 def classify_r(lam: float, alpha: float) -> StabilityVerdict:
     """Classify the equation on the reals: stable iff lambda < 0 or
     lambda > 1/(1-alpha), equivalently p(alpha) < 0 with K nonzero."""
-    if not 0.0 < alpha < 1.0:
-        raise DomainError("classify_r needs alpha in (0, 1)")
-    thr = 1.0 / (1.0 - alpha)
-    K = 1.0 - lam * (1.0 - alpha)
-    if _near(K, 0.0):
-        # lambda == 1/(1-alpha) is exactly the upper stability boundary
-        return StabilityVerdict(REGRESSIVITY_VIOLATION, OUTSIDE, math.nan,
-                                (thr, math.inf), "continuous")
-    p = lam * alpha / K
-    if lam < 0.0:
-        bounds = (-math.inf, 0.0)
-    elif lam > thr:
-        bounds = (thr, math.inf)
-    else:
-        bounds = (0.0, thr)
-    if _near(lam, 0.0) or _near(lam, thr):
-        return StabilityVerdict(BOUNDARY, OUTSIDE, p, bounds, "continuous")
-    stable = lam < 0.0 or lam > thr
-    assert stable == (p < 0.0)
-    return StabilityVerdict(STABLE if stable else UNSTABLE,
-                            IN_SC if stable else OUTSIDE, p, bounds, "continuous")
+    return _r(alpha)(lam)
 
 
 def estimate_sc(ts: TimeScale, p: float, horizon: float | None = None) -> float:

@@ -7,8 +7,9 @@ import sys
 import pytest
 
 import cfts
-from cfts.cli import main
+from cfts.cli import VERDICT_HEADER, _fmt, main, verdict_row
 from cfts.config import ConfigError, build_rhs, build_signal, parse_config
+from cfts.stability import classify_hz, classify_r
 
 from .oracles import oracle_linear_discrete
 
@@ -342,6 +343,52 @@ class TestStabilityCommand:
     def test_zero_step_exit_code(self, capsys):
         assert _one_line_error(main(["stability", "--lambda", "1", "--alpha", "0.5",
                                      "--h", "0"]), capsys) == "domain error"
+
+    def test_empty_sweep_or_bad_count_exit_code(self, capsys):
+        for flags in (["--lambda=1:2:0", "--alpha", "0.5", "--h", "1"],
+                      ["--lambda=1:2:-3", "--alpha", "0.5", "--h", "1"],
+                      ["--lambda", "1", "--alpha", "0.5", "--h=,"],
+                      ["--lambda", "1", "--alpha", "0.5", "--h="],
+                      ["--lambda", "1", "--alpha=,", "--continuous"]):
+            assert _one_line_error(main(["stability", *flags]), capsys) == "config error"
+
+    def test_single_count_sweep_is_its_start(self, capsys):
+        # hi - lo overflows, which a count of 1 never needs
+        assert main(["stability", "--lambda=-1e308:1e308:1", "--alpha", "0.5",
+                     "--h", "1"]) == 0
+        rows = capsys.readouterr().out.splitlines()[1:]
+        assert [r.split(",")[0] for r in rows] == ["-1e+308"]
+
+    def test_streamed_rows_equal_the_row_formatter(self, tmp_path, capsys):
+        # lambda = 0 is a boundary, lambda = 2 at alpha = 0.5 makes K = 0 and
+        # lambda = -2 at alpha = 0.75, h = 1 puts p on the S_R point
+        lams = [float(k) for k in range(-6, 7)]
+        alphas, hs = [0.5, 0.75], [0.5, 1.0]
+        for flags, points, classify in (
+                (["--h", "0.5,1"], [(a, h) for h in hs for a in alphas],
+                 lambda lam, a, h: classify_hz(lam, a, h)),
+                (["--continuous"], [(a, None) for a in alphas],
+                 lambda lam, a, h: classify_r(lam, a))):
+            want = ",".join(VERDICT_HEADER) + "\n" + "".join(
+                ",".join(map(_fmt, verdict_row(lam, a, h, classify(lam, a, h)))) + "\n"
+                for a, h in points for lam in lams)
+            out = tmp_path / "table.csv"
+            argv = ["stability", "--lambda=-6:6:13", "--alpha", "0.5,0.75", *flags]
+            assert main([*argv, "--out", str(out)]) == 0
+            assert out.read_text() == want
+            assert main(argv) == 0
+            assert capsys.readouterr().out == want
+            assert {"boundary", "regressivity-violation", "stable", "unstable"} <= {
+                line.split(",")[3] for line in want.splitlines()[1:]}
+
+    def test_error_in_a_later_block_leaves_no_output(self, tmp_path, capsys):
+        out = tmp_path / "table.csv"
+        for flags in (["--alpha", "0.5,0", "--h", "1"], ["--alpha", "0.5", "--h", "1,0"],
+                      ["--alpha", "0.5,1", "--continuous"]):
+            argv = ["stability", "--lambda=-1:1:3", *flags]
+            assert _one_line_error(main([*argv, "--out", str(out)]), capsys) == "domain error"
+            assert not out.exists()
+            assert _one_line_error(main(argv), capsys) == "domain error"
 
 
 class TestSolveNonlinear:

@@ -2,6 +2,8 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cfts.errors import DomainError, NonRegressiveParameter
 from cfts.fractional import CFOrder
@@ -9,6 +11,8 @@ from cfts.linear import LinearCFProblem, solve_linear_trajectory
 from cfts.signals import constant
 from cfts.stability import (
     BOUNDARY,
+    BOUNDARY_TOL,
+    IN_SC,
     IN_SR,
     OUTSIDE,
     REGRESSIVITY_VIOLATION,
@@ -86,6 +90,17 @@ class TestClassifyGrid:
             classify_hz(1.0, 0.5, 0.0)
         with pytest.raises(DomainError):
             classify_hz(1.0, 0.0, 1.0)
+        for lam in (math.inf, -math.inf, math.nan):
+            for alpha in (0.5, 1.0):
+                with pytest.raises(DomainError):
+                    classify_hz(lam, alpha, 1.0)
+
+    def test_overflowed_kernel_base_is_not_a_violation(self):
+        # 1 + h*p overflows to -inf; p = -8.91 lies below -2/h, so unstable
+        v = classify_hz(-1000.0, 0.9, 1e308)
+        assert v.status == UNSTABLE and v.mechanism == OUTSIDE
+        assert v.p_alpha == pytest.approx(-900.0 / 101.0, rel=1e-15)
+        assert v.boundary_values == (-2.0 / (1e308 * 0.9 - 2.0 * (1.0 - 0.9)), 0.0)
 
 
 class TestClassifyContinuous:
@@ -112,6 +127,11 @@ class TestClassifyContinuous:
     def test_alpha_range(self):
         with pytest.raises(DomainError):
             classify_r(1.0, 1.0)
+
+    def test_lambda_must_be_finite(self):
+        for lam in (math.inf, -math.inf, math.nan):
+            with pytest.raises(DomainError):
+                classify_r(lam, 0.5)
 
 
 class TestEstimateSc:
@@ -182,3 +202,127 @@ class TestEquivalences:
                 assert abs(xs[-1] - x_inf) < abs(xs[len(xs) // 2] - x_inf) + 1e-12
             else:
                 assert max(abs(x) for x in xs) > 10.0
+
+
+# -- reference classifiers that redo all the work on every call, with a
+# non-finite x never near anything.  The cached per-(alpha, h) classifiers
+# must agree with them field for field, to the bit.
+
+
+def _oracle_near(x, y):
+    if math.isinf(y) or not math.isfinite(x):
+        return False
+    return abs(x - y) <= BOUNDARY_TOL * max(1.0, abs(x), abs(y))
+
+
+def _oracle_hz(lam, alpha, h):
+    K = 1.0 - lam * (1.0 - alpha)
+    A = h * alpha - 2.0 * (1.0 - alpha)
+    branch = "a" if A > 0.0 else "b"
+    if _oracle_near(K, 0.0):
+        return REGRESSIVITY_VIOLATION, OUTSIDE, math.nan, (math.nan, math.nan), branch
+    p = lam * alpha / K
+    if _oracle_near(1.0 + h * p, 0.0):
+        return REGRESSIVITY_VIOLATION, IN_SR, p, (math.nan, math.nan), branch
+    if branch == "a":
+        bounds = (-2.0 / A, 0.0)
+    else:
+        thr = 2.0 / -A if A < 0.0 else math.inf
+        if lam < 0.0:
+            bounds = (-math.inf, 0.0)
+        elif lam > thr:
+            bounds = (thr, math.inf)
+        else:
+            bounds = (0.0, thr)
+    if (_oracle_near(lam, bounds[0]) or _oracle_near(lam, bounds[1])
+            or _oracle_near(p, 0.0) or _oracle_near(p, -2.0 / h)):
+        return BOUNDARY, OUTSIDE, p, bounds, branch
+    stable = -2.0 / h < p < 0.0
+    return STABLE if stable else UNSTABLE, IN_SC if stable else OUTSIDE, p, bounds, branch
+
+
+def _oracle_r(lam, alpha):
+    thr = 1.0 / (1.0 - alpha)
+    K = 1.0 - lam * (1.0 - alpha)
+    if _oracle_near(K, 0.0):
+        return REGRESSIVITY_VIOLATION, OUTSIDE, math.nan, (thr, math.inf), "continuous"
+    p = lam * alpha / K
+    if lam < 0.0:
+        bounds = (-math.inf, 0.0)
+    elif lam > thr:
+        bounds = (thr, math.inf)
+    else:
+        bounds = (0.0, thr)
+    if _oracle_near(lam, 0.0) or _oracle_near(lam, thr):
+        return BOUNDARY, OUTSIDE, p, bounds, "continuous"
+    stable = lam < 0.0 or lam > thr
+    return STABLE if stable else UNSTABLE, IN_SC if stable else OUTSIDE, p, bounds, "continuous"
+
+
+def _fields(status, mechanism, p, bounds, branch):
+    return status, mechanism, branch, p.hex(), bounds[0].hex(), bounds[1].hex()
+
+
+def _verdict_fields(v):
+    return _fields(v.status, v.mechanism, v.p_alpha, v.boundary_values, v.branch)
+
+
+def _anchors(alpha, h):
+    """The lambdas where the verdict changes: 0, the branch threshold, the
+    continuous threshold (K = 0) and the S_R point (1 + h*p = 0)."""
+    abar = 1.0 - alpha
+    A = h * alpha - 2.0 * abar
+    out = [0.0]
+    if A != 0.0:
+        out.append(-2.0 / A)
+    if abar:
+        out.append(1.0 / abar)
+    if h * alpha != abar:
+        out.append(-1.0 / (h * alpha - abar))
+    return [a for a in out if math.isfinite(a)]
+
+
+_alphas = st.one_of(st.floats(1e-3, 1.0), st.sampled_from([0.1, 0.5, 0.9, 1.0]),
+                    st.floats(0.999, 1.0))
+_steps = st.one_of(st.floats(1e-3, 4.0), st.sampled_from([0.25, 0.5, 1.0, 2.0]),
+                   st.floats(1e300, 1e308), st.floats(5e-324, 1e-300))
+_offsets = st.one_of(st.just(0.0), st.builds(lambda sign, e: sign * 10.0 ** e,
+                                             st.sampled_from([-1.0, 1.0]),
+                                             st.floats(-13.0, -9.0)))
+
+
+@settings(max_examples=600, deadline=None)
+@given(st.data())
+def test_hoisted_classifiers_match_the_per_call_form(data):
+    alpha = data.draw(_alphas)
+    h = data.draw(_steps)
+    if alpha < 1.0 and data.draw(st.booleans()):
+        # the branch switch A = 0 lies at h = 2(1/alpha - 1)
+        h = 2.0 * (1.0 - alpha) / alpha * (1.0 + data.draw(_offsets))
+    if data.draw(st.booleans()):
+        anchor = data.draw(st.sampled_from(_anchors(alpha, h)))
+        off = data.draw(_offsets)
+        lam = off if anchor == 0.0 else anchor * (1.0 + off)
+    else:
+        lam = data.draw(st.floats(-50.0, 50.0))
+    assert _fields(*_oracle_hz(lam, alpha, h)) == _verdict_fields(classify_hz(lam, alpha, h))
+    if alpha < 1.0:
+        assert _fields(*_oracle_r(lam, alpha)) == _verdict_fields(classify_r(lam, alpha))
+
+
+def test_hoisted_classifiers_match_at_the_band_edges():
+    # a seeded sweep that lands lambda at the edge of the BOUNDARY_TOL band
+    # of every anchor often enough to tell each boundary test apart
+    rng = random.Random(5)
+    for _ in range(40_000):
+        alpha = rng.choice([rng.uniform(1e-3, 1.0), 1.0 - 10.0 ** rng.uniform(-16.0, -3.0)])
+        h = rng.choice([rng.uniform(1e-3, 4.0), 10.0 ** rng.uniform(300.0, 308.0),
+                        10.0 ** rng.uniform(-323.0, -300.0)])
+        anchor = rng.choice(_anchors(alpha, h))
+        off = rng.choice([-1.0, 1.0]) * 10.0 ** rng.uniform(-13.5, -11.0)
+        lam = off if anchor == 0.0 else anchor * (1.0 + off)
+        assert _fields(*_oracle_hz(lam, alpha, h)) == _verdict_fields(
+            classify_hz(lam, alpha, h)), (lam, alpha, h)
+        if alpha < 1.0:
+            assert _fields(*_oracle_r(lam, alpha)) == _verdict_fields(
+                classify_r(lam, alpha)), (lam, alpha)
