@@ -233,27 +233,36 @@ def cmd_stability(lams, alphas, hs, continuous: bool, out_path: str | None) -> i
 
     Every block's classifier is built, and so its alpha and h checked,
     before the output is opened, so an error leaves no file and no stdout.
-    Each row is the bytes that ``_fmt`` gives for ``verdict_row``.
+    Each row is the bytes that ``_fmt`` gives for ``verdict_row``.  Each
+    lambda is formatted once per sweep and each p_alpha once per (lambda,
+    alpha): p_alpha does not depend on h, so the first block of an alpha
+    formats its p column and later blocks reuse it.
     """
     blocks = ([(alpha, None) for alpha in alphas] if continuous
               else [(alpha, h) for h in hs for alpha in alphas])
     for alpha, h in blocks:
         _r(alpha) if h is None else _hz(alpha, h)
+    lam_strs = [f"{lam:.17g}" for lam in lams]
+    p_cols: dict[float, list[str]] = {}
     with (open(out_path, "w", newline="") if out_path
           else contextlib.nullcontext(sys.stdout)) as fh:
         fh.write(",".join(VERDICT_HEADER) + "\n")
         for alpha, h in blocks:
             mid = f",{_fmt(alpha)},{'' if h is None else _fmt(h)},"
+            verdicts = ([classify_r(lam, alpha) for lam in lams] if h is None
+                        else [classify_hz(lam, alpha, h) for lam in lams])
+            p_col = p_cols.get(alpha)
+            if p_col is None:
+                p_col = p_cols[alpha] = [f"{v.p_alpha:.17g}" for v in verdicts]
             # the classifier returns one of a few bounds tuples per block
             tails: dict[tuple, str] = {}
             lines = []
-            for lam in lams:
-                v = classify_r(lam, alpha) if h is None else classify_hz(lam, alpha, h)
-                tail = tails.get(v.boundary_values)
+            for lam_s, (status, mechanism, _, bounds, _), p_s in zip(
+                    lam_strs, verdicts, p_col):
+                tail = tails.get(bounds)
                 if tail is None:
-                    tail = tails[v.boundary_values] = ",".join(map(_fmt, v.boundary_values))
-                lines.append(f"{lam:.17g}{mid}{v.status},{v.mechanism},"
-                             f"{v.p_alpha:.17g},{tail}\n")
+                    tail = tails[bounds] = ",".join(map(_fmt, bounds))
+                lines.append(f"{lam_s}{mid}{status},{mechanism},{p_s},{tail}\n")
             fh.write("".join(lines))
     return 0
 

@@ -16,7 +16,9 @@ scenario's output files.  Keys:
     alpha     = <float> [<float> ...]   (linear: values in [0, 1], 1 = classical
                                          path; nonlinear: values in [0, 1))
     horizon   = steps n | time t        (linear)
-    outputs   = trajectory [verdict] [residuals]
+    outputs   = trajectory [verdict] [residuals]   (verdict: linear only;
+                                         trajectory and residuals are
+                                         always written)
 """
 
 from __future__ import annotations
@@ -150,6 +152,9 @@ def _build_scenario(name: str, header_line: int,
         if o not in _OUTPUTS:
             raise ConfigError(f"unknown output {o!r} (choose from {_OUTPUTS})",
                               out[1], "outputs")
+    if kind == "nonlinear" and "verdict" in outputs:
+        raise ConfigError("a nonlinear scenario has no verdict output",
+                          out[1], "outputs")
 
     lam = u_spec = rhs_spec = lipschitz = window = horizon = steps = None
     if kind == "linear":

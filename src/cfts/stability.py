@@ -8,13 +8,16 @@ lambda > 1/(1-alpha)".  A windowed average of log|1 + mu*p|/mu provides
 finite-horizon numeric evidence for general hybrid scales.
 
 Everything that depends only on (alpha, h) -- the validation, the branch,
-the thresholds and their bounds tuples -- is computed once per pair in a
-small cache, so that a sweep over lambda pays only for K, p and the
-comparisons.  "On a boundary" means within BOUNDARY_TOL of it: absolute
-at 0, relative (BOUNDARY_TOL * max(1, |x|, |y|)) at a finite nonzero
-threshold y.  A non-finite x is never on a boundary, so an overflowed
-1 + h*p (h near the float maximum) is classified by the sign tests instead
-of being reported as a regressivity violation.
+the thresholds, their bounds tuples and their bands -- is computed once
+per pair in a small cache, so that a sweep over lambda pays only for K, p
+and the comparisons.  "On a boundary" means within BOUNDARY_TOL of it:
+absolute at 0, relative (BOUNDARY_TOL * max(1, |x|, |y|)) at a finite
+nonzero threshold y, tested to the bit as |x - y| <= band or
+|x - y| <= BOUNDARY_TOL * |x| with the band BOUNDARY_TOL * max(1, |y|).
+Nothing is on an infinite threshold, and a non-finite x is never on a
+boundary, so an overflowed 1 + h*p (h near the float maximum) is
+classified by the sign tests instead of being reported as a regressivity
+violation.
 """
 
 from __future__ import annotations
@@ -22,7 +25,7 @@ from __future__ import annotations
 import functools
 import math
 from collections.abc import Callable
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .calculus import _kills
 from .errors import DomainError, NonRegressiveParameter
@@ -41,12 +44,13 @@ IN_SR = "in-S_R"
 OUTSIDE = "outside"
 
 
-@dataclass(frozen=True)
-class StabilityVerdict:
+class StabilityVerdict(NamedTuple):
     """Outcome of classifying one (lambda, alpha, scale) triple.
 
     ``boundary_values`` are the endpoints of the lambda-interval that
     decided the verdict (math.inf endpoints for unbounded sides).
+    ``p_alpha`` depends on lambda and alpha only, never on the scale, and
+    is NaN when K vanishes.
     """
 
     status: str
@@ -59,12 +63,10 @@ class StabilityVerdict:
 _NO_BOUNDS = (math.nan, math.nan)
 
 
-def _near(x: float, y: float) -> bool:
-    """|x - y| <= BOUNDARY_TOL * max(1, |x|, |y|), and never for an x or y
-    that is not finite."""
-    d = abs(x - y)
-    # an infinite x or y makes both sides inf
-    return d <= BOUNDARY_TOL * max(1.0, abs(x), abs(y)) and d != math.inf
+def _band(y: float) -> float:
+    """BOUNDARY_TOL * max(1, |y|) for a finite threshold y; -1.0, which no
+    distance is within, for an infinite one."""
+    return BOUNDARY_TOL * max(1.0, abs(y)) if math.isfinite(y) else -1.0
 
 
 @functools.lru_cache(maxsize=64)
@@ -78,34 +80,46 @@ def _hz(alpha: float, h: float) -> Callable[[float], StabilityVerdict]:
     abar = 1.0 - alpha
     A = h * alpha - 2.0 * abar
     edge = -2.0 / h
+    edge_band = _band(edge)
     if A > 0.0:
         branch = "a"
         low = -2.0 / A
+        low_band = _band(low)
         bounds_a = (low, 0.0)
     else:
         branch = "b"
         thr = 2.0 / -A if A < 0.0 else math.inf
+        thr_band = _band(thr)
         below, above, between = (-math.inf, 0.0), (thr, math.inf), (0.0, thr)
 
     def classify(lam: float) -> StabilityVerdict:
         if not math.isfinite(lam):
             raise DomainError("lambda must be finite")
         K = 1.0 - lam * abar
-        if abs(K) <= BOUNDARY_TOL:
+        if -BOUNDARY_TOL <= K <= BOUNDARY_TOL:
             return StabilityVerdict(REGRESSIVITY_VIOLATION, OUTSIDE, math.nan,
                                     _NO_BOUNDS, branch)
         p = lam * alpha / K
-        if abs(1.0 + h * p) <= BOUNDARY_TOL:
+        if -BOUNDARY_TOL <= 1.0 + h * p <= BOUNDARY_TOL:
             return StabilityVerdict(REGRESSIVITY_VIOLATION, IN_SR, p,
                                     _NO_BOUNDS, branch)
+        # lam is finite, so |lam - y| <= BOUNDARY_TOL * |lam| fails at an
+        # infinite threshold y
         if branch == "a":
-            bounds, on_edge = bounds_a, _near(lam, low)
+            d = abs(lam - low)
+            bounds, on_edge = bounds_a, d <= low_band or d <= BOUNDARY_TOL * abs(lam)
         elif lam < 0.0:
             bounds, on_edge = below, False
         else:
-            bounds, on_edge = above if lam > thr else between, _near(lam, thr)
-        if (on_edge or abs(lam) <= BOUNDARY_TOL or abs(p) <= BOUNDARY_TOL
-                or _near(p, edge)):
+            d = abs(lam - thr)
+            bounds = above if lam > thr else between
+            on_edge = d <= thr_band or d <= BOUNDARY_TOL * abs(lam)
+        # p overflows when K is barely outside the tolerance; "< math.inf"
+        # keeps an infinite p off the edge
+        d = abs(p - edge)
+        if (on_edge or -BOUNDARY_TOL <= lam <= BOUNDARY_TOL
+                or -BOUNDARY_TOL <= p <= BOUNDARY_TOL
+                or d <= edge_band or d <= BOUNDARY_TOL * abs(p) < math.inf):
             return StabilityVerdict(BOUNDARY, OUTSIDE, p, bounds, branch)
         stable = edge < p < 0.0
         return StabilityVerdict(STABLE if stable else UNSTABLE,
@@ -134,13 +148,14 @@ def _r(alpha: float) -> Callable[[float], StabilityVerdict]:
         raise DomainError("classify_r needs alpha in (0, 1)")
     abar = 1.0 - alpha
     thr = 1.0 / abar
+    thr_band = _band(thr)
     below, above, between = (-math.inf, 0.0), (thr, math.inf), (0.0, thr)
 
     def classify(lam: float) -> StabilityVerdict:
         if not math.isfinite(lam):
             raise DomainError("lambda must be finite")
         K = 1.0 - lam * abar
-        if abs(K) <= BOUNDARY_TOL:
+        if -BOUNDARY_TOL <= K <= BOUNDARY_TOL:
             # lambda == 1/(1-alpha) is exactly the upper stability boundary
             return StabilityVerdict(REGRESSIVITY_VIOLATION, OUTSIDE, math.nan,
                                     above, "continuous")
@@ -151,7 +166,9 @@ def _r(alpha: float) -> Callable[[float], StabilityVerdict]:
             bounds = above
         else:
             bounds = between
-        if abs(lam) <= BOUNDARY_TOL or _near(lam, thr):
+        d = abs(lam - thr)
+        if (-BOUNDARY_TOL <= lam <= BOUNDARY_TOL or d <= thr_band
+                or d <= BOUNDARY_TOL * abs(lam)):
             return StabilityVerdict(BOUNDARY, OUTSIDE, p, bounds, "continuous")
         stable = lam < 0.0 or lam > thr
         assert stable == (p < 0.0)

@@ -7,6 +7,7 @@ import sys
 import pytest
 
 import cfts
+from cfts import cli
 from cfts.cli import VERDICT_HEADER, _fmt, main, verdict_row
 from cfts.config import ConfigError, build_rhs, build_signal, parse_config
 from cfts.stability import classify_hz, classify_r
@@ -127,6 +128,20 @@ class TestConfigParsing:
         cfg.write_text(twice)
         out = tmp_path / "out"
         assert _one_line_error(main(["simulate", str(cfg), "--out", str(out)]),
+                               capsys) == "config error"
+        assert not out.exists()
+
+    def test_nonlinear_verdict_output_rejected(self, tmp_path, capsys):
+        # a nonlinear scenario has no verdict file to write
+        bad = NONLINEAR_CONFIG.replace("outputs = trajectory residuals",
+                                       "outputs = trajectory residuals verdict")
+        with pytest.raises(ConfigError) as err:
+            parse_config(bad)
+        assert (err.value.line, err.value.field) == (9, "outputs")
+        cfg = tmp_path / "nl.config"
+        cfg.write_text(bad)
+        out = tmp_path / "out"
+        assert _one_line_error(main(["solve-nonlinear", str(cfg), "--out", str(out)]),
                                capsys) == "config error"
         assert not out.exists()
 
@@ -360,26 +375,57 @@ class TestStabilityCommand:
         assert [r.split(",")[0] for r in rows] == ["-1e+308"]
 
     def test_streamed_rows_equal_the_row_formatter(self, tmp_path, capsys):
-        # lambda = 0 is a boundary, lambda = 2 at alpha = 0.5 makes K = 0 and
-        # lambda = -2 at alpha = 0.75, h = 1 puts p on the S_R point
-        lams = [float(k) for k in range(-6, 7)]
-        alphas, hs = [0.5, 0.75], [0.5, 1.0]
-        for flags, points, classify in (
-                (["--h", "0.5,1"], [(a, h) for h in hs for a in alphas],
-                 lambda lam, a, h: classify_hz(lam, a, h)),
-                (["--continuous"], [(a, None) for a in alphas],
-                 lambda lam, a, h: classify_r(lam, a))):
+        # lambda = 0 is a boundary, lambda = 2 at alpha = 0.5 (4 at 0.75)
+        # makes K = 0 and lambda = -2 at alpha = 0.75, h = 1 puts p on the
+        # S_R point.  The third sweep reuses each alpha's p column in three
+        # h blocks, and its -0 and 0 rows differ only in their signs.
+        alphas = [0.5, 0.75]
+        grid = lambda lam, a, h: classify_hz(lam, a, h)
+        reals = lambda lam, a, h: classify_r(lam, a)
+        for lam_flag, lams, flags, points, classify in (
+                ("--lambda=-6:6:13", [float(k) for k in range(-6, 7)], ["--h", "0.5,1"],
+                 [(a, h) for h in (0.5, 1.0) for a in alphas], grid),
+                ("--lambda=-6:6:13", [float(k) for k in range(-6, 7)], ["--continuous"],
+                 [(a, None) for a in alphas], reals),
+                ("--lambda=-0,0,2,4,-2,0.5", [-0.0, 0.0, 2.0, 4.0, -2.0, 0.5],
+                 ["--h", "0.5,1,3"], [(a, h) for h in (0.5, 1.0, 3.0) for a in alphas],
+                 grid)):
             want = ",".join(VERDICT_HEADER) + "\n" + "".join(
                 ",".join(map(_fmt, verdict_row(lam, a, h, classify(lam, a, h)))) + "\n"
                 for a, h in points for lam in lams)
             out = tmp_path / "table.csv"
-            argv = ["stability", "--lambda=-6:6:13", "--alpha", "0.5,0.75", *flags]
+            argv = ["stability", lam_flag, "--alpha", "0.5,0.75", *flags]
             assert main([*argv, "--out", str(out)]) == 0
             assert out.read_text() == want
             assert main(argv) == 0
             assert capsys.readouterr().out == want
             assert {"boundary", "regressivity-violation", "stable", "unstable"} <= {
                 line.split(",")[3] for line in want.splitlines()[1:]}
+        assert {"-0", "0"} <= {line.split(",")[5] for line in want.splitlines()[1:]}
+
+    def test_one_classifier_call_per_written_row(self, monkeypatch, capsys):
+        # the per-row classifiers are the only classification path, which
+        # is what a per-call count of them measures
+        calls = []
+
+        def counted(name):
+            real = getattr(cli, name)
+
+            def classify(*args):
+                calls.append(name)
+                return real(*args)
+            return classify
+
+        for name in ("classify_hz", "classify_r"):
+            monkeypatch.setattr(cli, name, counted(name))
+        for flags, name in ((["--h", "0.5,1,3"], "classify_hz"),
+                            (["--continuous"], "classify_r")):
+            calls.clear()
+            assert main(["stability", "--lambda=-6:6:13", "--alpha", "0.5,0.75",
+                         *flags]) == 0
+            rows = capsys.readouterr().out.splitlines()[1:]
+            assert len(rows) == len(calls) == 13 * 2 * (3 if name == "classify_hz" else 1)
+            assert set(calls) == {name}
 
     def test_error_in_a_later_block_leaves_no_output(self, tmp_path, capsys):
         out = tmp_path / "table.csv"

@@ -326,3 +326,27 @@ def test_hoisted_classifiers_match_at_the_band_edges():
         if alpha < 1.0:
             assert _fields(*_oracle_r(lam, alpha)) == _verdict_fields(
                 classify_r(lam, alpha)), (lam, alpha)
+    # infinite thresholds: -2/A and -2/h overflow at alpha = 1 with the
+    # least step, and A = 0 puts the branch (b) threshold at inf
+    for alpha, h in ((1.0, 5e-324), (0.5, 2.0)):
+        for lam in (-1e308, -1.0, -0.0, 1.0, 1e308):
+            assert _fields(*_oracle_hz(lam, alpha, h)) == _verdict_fields(
+                classify_hz(lam, alpha, h)), (lam, alpha, h)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_p_alpha_does_not_depend_on_the_scale(data):
+    # the stability table formats p_alpha once per (lambda, alpha) and
+    # reuses it in every h block; one h on each side of the branch switch
+    alpha = data.draw(st.one_of(st.floats(1e-3, 0.999),
+                                st.floats(0.999, 1.0, exclude_max=True)))
+    pole = 1.0 / (1.0 - alpha)
+    lam = data.draw(st.one_of(st.floats(-50.0, 50.0), st.sampled_from([0.0, -0.0, pole])))
+    switch = 2.0 * (1.0 - alpha) / alpha
+    va = classify_hz(lam, alpha, switch * data.draw(st.floats(2.0, 1e3)))
+    vb = classify_hz(lam, alpha, switch * data.draw(st.floats(1e-3, 0.5)))
+    assert (va.branch, vb.branch) == ("a", "b")
+    assert va.p_alpha.hex() == vb.p_alpha.hex() == classify_r(lam, alpha).p_alpha.hex()
+    if lam == pole:
+        assert math.isnan(va.p_alpha)
