@@ -90,16 +90,23 @@ def _quad(fn: Callable[[float], float], lo: float, hi: float, tol: float,
     """Integral of fn over [lo, hi], split first at the ``points`` inside
     (lo, hi), then by bisecting the subinterval with the largest error
     estimate until the summed estimate is at most max(tol, rel*|integral|)
-    with rel = max(1e-12, tol)."""
+    with rel = max(1e-12, tol).
+
+    A lone first panel that already meets the rule is returned at once:
+    the fsum of one term is that term (with -0.0 read as 0.0), so this is
+    the value the queue would give.  One that fails it seeds the queue.
+    """
     if hi <= lo:
         return 0.0
     ends = [lo, *sorted(p for p in points or () if lo < p < hi), hi]
+    rel = max(1e-12, tol)
     queue = []  # (-error estimate, a, b, value): the worst subinterval first
     for a, b in zip(ends, ends[1:]):
         val, err = _qk15(fn, a, b)
         queue.append((-err, a, b, val))
+    if len(queue) == 1 and err <= max(tol, rel * abs(val)):
+        return val + 0.0
     heapq.heapify(queue)
-    rel = max(1e-12, tol)
     while True:
         total = math.fsum(q[3] for q in queue)
         err = -math.fsum(q[0] for q in queue)

@@ -17,8 +17,9 @@ configs produce byte-identical files.  The residual column re-checks the
 trajectory through the fractional operator: for alpha < 1 the whole column
 comes from one forward kernel march over the mesh (O(n)), and alpha = 1
 uses the classical delta-equation defect.  A maximum residual above
-RESIDUAL_GATE prints a warning naming the start-up condition of the
-scenario kind.  The environment variable CFTS_TOL overrides the default
+RESIDUAL_GATE prints a warning with the start-up value of the scenario
+kind (u(0) + lambda*x0 or f(a, x0)) and the likeliest cause (see
+``_self_check``).  The environment variable CFTS_TOL overrides the default
 numeric tolerance (a finite number >= 0; quadrature and fixed-point
 stopping; default 1e-10).
 
@@ -50,14 +51,15 @@ from .fractional import CFOrder
 from .linear import (
     LinearCFProblem,
     _resolve_mesh,
-    classical_residual,
+    classical_residual_mesh,
     classical_trajectory,
     residual_linear_mesh,
     solve_linear_trajectory,
 )
 from .nonlinear import NonlinearCFProblem, picard_solve, residual_nonlinear_mesh
 from .stability import StabilityVerdict, _hz, _r, classify_hz, classify_r
-from .timescale import UniformGrid
+from .signals import value
+from .timescale import ContinuousInterval, UniformGrid
 
 #: Self-check bound announced for emitted trajectories.
 RESIDUAL_GATE = 1e-8
@@ -74,10 +76,10 @@ def _fmt(v) -> str:
 
 
 def _write_csv(path: Path, header, rows) -> None:
+    text = "".join([",".join(header) + "\n",
+                    *[",".join(map(_fmt, row)) + "\n" for row in rows]])
     with open(path, "w", newline="") as fh:
-        fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(_fmt(v) for v in row) + "\n")
+        fh.write(text)
 
 
 def _alpha_tag(alpha: float) -> str:
@@ -88,29 +90,30 @@ def _alpha_tag(alpha: float) -> str:
 
 
 def _linear_trajectory(scn: Scenario, alpha: float, tol: float):
-    """Solve one linear job: the trajectory, its residual column, and the
-    verdict row when the scenario asks for one (alpha < 1), else None."""
+    """Solve one linear job: the trajectory, its residual column, the
+    verdict row when the scenario asks for one (alpha < 1) else None, and
+    the start-up value u(0) + lambda*x0."""
     # a sample table is given on the run mesh
     mesh = (_resolve_mesh(scn.ts, scn.horizon, scn.steps, None)
             if scn.u_spec[0] == "samples" else None)
     u = build_signal(scn.u_spec, mesh)
+    startup = value(u, scn.ts, 0.0) + scn.lam * scn.x0
     if alpha == 1.0:
         traj = classical_trajectory(scn.ts, scn.lam, u, scn.x0,
                                     horizon=scn.horizon, steps=scn.steps, tol=tol)
         # at the last point sigma(t) lies beyond the sampled horizon
-        resid = [classical_residual(scn.ts, scn.lam, u, traj, t)
-                 for t in traj.mesh[:-1]] + [math.nan]
-        return traj, resid, None
+        resid = classical_residual_mesh(scn.ts, scn.lam, u, traj) + [math.nan]
+        return traj, resid, None, startup
     prob = LinearCFProblem(scn.ts, scn.lam, u, scn.x0, CFOrder(alpha))
     traj = solve_linear_trajectory(prob, horizon=scn.horizon, steps=scn.steps,
                                    tol=tol)
     verdict = _scenario_verdict(scn, alpha) if "verdict" in scn.outputs else None
-    return traj, residual_linear_mesh(prob, traj, traj.mesh, tol), verdict
+    return traj, residual_linear_mesh(prob, traj, traj.mesh, tol), verdict, startup
 
 
 def _nonlinear_trajectory(scn: Scenario, alpha: float, tol: float):
-    """Solve one nonlinear job: the fixed point, its residual column, and
-    its line of the scenario report."""
+    """Solve one nonlinear job: the fixed point, its residual column, its
+    line of the scenario report, and the start-up value f(a, x0)."""
     prob = NonlinearCFProblem(scn.ts, build_rhs(scn.rhs_spec), scn.lipschitz,
                               scn.window[0], scn.window[1], scn.x0, CFOrder(alpha))
     result = picard_solve(prob, tol=tol)
@@ -119,23 +122,47 @@ def _nonlinear_trajectory(scn: Scenario, alpha: float, tol: float):
             f"q={_fmt(result.contraction_q)} iterations={result.iterations} "
             f"final_defect={_fmt(result.final_defect)} "
             f"apriori_bound={_fmt(result.apriori_bound)}")
-    return traj, residual_nonlinear_mesh(prob, traj, traj.mesh), line
+    return (traj, residual_nonlinear_mesh(prob, traj, traj.mesh), line,
+            prob.rhs(prob.a, prob.x0))
 
 
-#: Why a large residual is expected, by scenario kind: the operator vanishes
-#: at the base point, so the equation holds there only under this condition.
-_LINEAR_CONDITION = ("the closed form solves the equation exactly only when "
-                     "u(0) + lambda*x0 = 0")
-_NONLINEAR_CONDITION = ("the equation holds at t = a only when f(a, x0) = 0, "
-                        "since the operator vanishes there")
+#: The start-up value of each scenario kind and why a nonzero one leaves a
+#: residual: the operator vanishes at the base point, so the equation holds
+#: there only when the value is 0.
+_LINEAR_STARTUP = ("u(0) + lambda*x0", "the closed form solves the equation "
+                   "exactly only when u(0) + lambda*x0 = 0")
+_NONLINEAR_STARTUP = ("f(a, x0)", "the equation holds at t = a only when "
+                      "f(a, x0) = 0, since the operator vanishes there")
 
 
-def _self_check(name: str, alpha: float, residuals, condition: str) -> None:
+def _self_check(scn: Scenario, alpha: float, traj, residuals,
+                startup_kind: tuple[str, str], startup: float) -> None:
+    """Warn on stderr when the largest finite residual reaches RESIDUAL_GATE,
+    with the start-up value and the likeliest cause: the start-up condition
+    when that value is nonzero and alpha < 1 (alpha = 1 solves the
+    classical equation, which has no start-up defect), else dense-run
+    discretization when the trajectory spans part of a continuous
+    interval, else a divergent kernel that amplifies rounding."""
     worst = max((abs(r) for r in residuals if math.isfinite(r)), default=0.0)
-    if worst >= RESIDUAL_GATE:
-        print(f"warning: {name} alpha={_alpha_tag(alpha)}: max |residual| = "
-              f"{worst:.3g} exceeds {RESIDUAL_GATE:g} ({condition})",
-              file=sys.stderr)
+    if worst < RESIDUAL_GATE:
+        return
+    ts = scn.ts
+    label, condition = startup_kind
+    a, b = traj.mesh[0], traj.mesh[-1]
+    if startup and alpha < 1.0:
+        cause = condition
+    elif any(isinstance(s, ContinuousInterval) and s.lo < b and s.hi > a
+             for s in ts.segments):
+        cause = ("dense-run discretization: the residual is taken on the "
+                 "sampled mesh of a continuous interval")
+    elif alpha < 1.0 and any(abs(1.0 + mu * alpha / (alpha - 1.0)) > 1.0
+                             for mu in ts.graininess_values()):
+        cause = "rounding amplified by a kernel base |1 + mu*alpha_bar| > 1"
+    else:
+        cause = "no start-up defect, dense run or divergent kernel explains it"
+    print(f"warning: {scn.name} alpha={_alpha_tag(alpha)}: max |residual| = "
+          f"{worst:.3g} exceeds {RESIDUAL_GATE:g} ({label} = {startup:.3g}; "
+          f"{cause})", file=sys.stderr)
 
 
 def _require_finite(name: str, alpha: float, traj, residuals) -> None:
@@ -165,28 +192,30 @@ def verdict_row(lam: float, alpha: float, h: float | None,
 def _run(config_path: str, out_dir: str, tol: float, kind: str) -> int:
     """The pipeline of ``simulate`` (kind 'linear') and ``solve-nonlinear``
     (kind 'nonlinear'): solve and check every job, then write."""
-    # kind -> (subcommand, job, start-up condition); built per call so that
-    # a rebinding of a job function (a tracing wrapper, say) is seen
-    kinds = {"linear": ("simulate", _linear_trajectory, _LINEAR_CONDITION),
+    # kind -> (subcommand, job, start-up label and condition); built per
+    # call so that a rebinding of a job function (a tracing wrapper, say) is
+    # seen
+    kinds = {"linear": ("simulate", _linear_trajectory, _LINEAR_STARTUP),
              "nonlinear": ("solve-nonlinear", _nonlinear_trajectory,
-                           _NONLINEAR_CONDITION)}
+                           _NONLINEAR_STARTUP)}
     scenarios = parse_config(Path(config_path).read_text())
     for scn in scenarios:
         if scn.kind != kind:
             raise ConfigError(f"scenario '{scn.name}' is {scn.kind}; "
                               f"use 'cfts {kinds[scn.kind][0]}'")
-    _, job, condition = kinds[kind]
+    _, job, startup_kind = kinds[kind]
     runs = []
     for scn in scenarios:
         for alpha in scn.alphas:
-            traj, resid, summary = job(scn, alpha, tol)
+            traj, resid, summary, startup = job(scn, alpha, tol)
             _require_finite(scn.name, alpha, traj, resid)
-            runs.append((scn.name, alpha, traj, resid, summary))
+            runs.append((scn, alpha, traj, resid, summary, startup))
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     summaries: dict[str, list] = {}
-    for name, alpha, traj, resid, summary in runs:
-        _self_check(name, alpha, resid, condition)
+    for scn, alpha, traj, resid, summary, startup in runs:
+        name = scn.name
+        _self_check(scn, alpha, traj, resid, startup_kind, startup)
         _write_csv(out / f"{name}_alpha{_alpha_tag(alpha)}.csv", TRAJECTORY_HEADER,
                    zip(traj.mesh, traj.values, resid))
         if summary is not None:

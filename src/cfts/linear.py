@@ -15,7 +15,10 @@ O(n^2) resummation); it serves both the trajectory on a mesh and the
 single-point ``solve_linear``, which is that walk on the mesh (0, t).
 
 The limiting order alpha = 1 degenerates to the classical delta equation
-x^delta = lambda*x + u, provided here as ``classical_trajectory``.
+x^delta = lambda*x + u, provided here as ``classical_trajectory``; its
+defect over a sampled trajectory is ``classical_residual_mesh`` (one walk
+over the cells, the stored values read by index), with the single-point
+``classical_residual`` kept for any signal.
 
 Note: the closed form solves the equation pointwise exactly when the data
 satisfy the start-up compatibility u(0) + lambda*x0 = 0 (the operator of
@@ -186,3 +189,32 @@ def classical_residual(ts: TimeScale, lam: float, u, x: Signal, t: float) -> flo
     u = as_signal(u)
     return (delta_derivative(ts, x, t)
             - lam * value(x, ts, t) - value(u, ts, t))
+
+
+def classical_residual_mesh(ts: TimeScale, lam: float, u, x: Sampled) -> list[float]:
+    """``classical_residual`` at every point of x.mesh but the last (where
+    sigma(t) lies beyond the samples), from one walk over its cells.
+
+    x.mesh must be a canonical mesh (``TimeScale.mesh`` or a prefix of
+    one), so that its cells are its steps; a mesh that skips a scattered
+    point raises DomainError.  The delta derivative is the one
+    ``delta_derivative`` forms from the samples: (x[k+1] - x[k]) / mu on a
+    scattered cell, and on a dense one the secant of ``sampled_slope``,
+    centered when the previous cell is dense too (rho(t) = t) and
+    one-sided otherwise.
+    """
+    u = as_signal(u)
+    m, v = x.mesh, x.values
+    out = []
+    prev_dense = False
+    for k, (_, hi, mu) in enumerate(ts.cells(m)):
+        if hi != m[k + 1]:
+            raise DomainError(f"the mesh skips the point {hi!r} of the scale")
+        if mu:
+            slope = (v[k + 1] - v[k]) / mu
+        else:
+            j = k - 1 if prev_dense else k
+            slope = (v[k + 1] - v[j]) / (m[k + 1] - m[j])
+        prev_dense = not mu
+        out.append(slope - lam * v[k] - value(u, ts, m[k]))
+    return out

@@ -75,11 +75,17 @@ def constant(c: float) -> Closure:
 def value(sig: Signal, ts: TimeScale, t: float) -> float:
     """Evaluate a signal at a time-scale point.
 
-    Sampled signals interpolate linearly between neighboring mesh points
-    when t falls strictly inside a dense run.
+    A Sampled signal read at one of its own mesh points (t equal to a
+    stored mesh value) returns the stored value by index, with no segment
+    lookup.  Any other t is snapped to the scale first, then read at the
+    mesh point within tolerance, or interpolated linearly between
+    neighboring mesh points when it falls strictly inside a dense run.
     """
     if isinstance(sig, Closure):
         return sig.func(t)
+    i = bisect_left(sig.mesh, t)
+    if i < len(sig.mesh) and sig.mesh[i] == t:
+        return sig.values[i]
     t = ts.snap(t)
     try:
         return sig.values[sig.index_of(t)]

@@ -9,6 +9,7 @@ from cfts.calculus import (
     _WG,
     _WGK,
     _XGK,
+    _qk15,
     _quad,
     delta_derivative,
     delta_integral,
@@ -257,6 +258,17 @@ class TestGaussKronrod:
         got = _quad(fn, 0.0, 2.0, 1e-13, points=[-1.0, c, 5.0])
         assert abs(got - want) <= 1e-12
         assert len(calls) == 30
+
+    def test_lone_panel_returns_its_fsum(self):
+        # one K15 panel that meets the rule is returned as the queue's
+        # fsum of one term would be, -0.0 read as 0.0
+        for fn, lo, hi in ((math.exp, 0.0, 0.01), (math.sin, 2.0, 2.5),
+                           (lambda t: -0.0, 0.0, 1.0)):
+            val, err = _qk15(fn, lo, hi)
+            assert err <= 1e-10
+            got = _quad(fn, lo, hi, 1e-10)
+            assert float.hex(got) == float.hex(math.fsum([val]))
+        assert math.copysign(1.0, _quad(lambda t: -0.0, 0.0, 1.0, 1e-10)) == 1.0
 
     def test_unresolved_oscillation_raises(self):
         with pytest.raises(QuadratureNonConvergence):

@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import math
 import os
 import subprocess
@@ -10,6 +11,7 @@ import cfts
 from cfts import cli
 from cfts.cli import VERDICT_HEADER, _fmt, main, verdict_row
 from cfts.config import ConfigError, build_rhs, build_signal, parse_config
+from cfts.signals import Sampled
 from cfts.stability import classify_hz, classify_r
 
 from .oracles import oracle_linear_discrete
@@ -506,6 +508,93 @@ class TestSolveNonlinear:
             assert not out.exists()
 
 
+DENSE_CONFIG = """\
+[scenario d]
+segment = interval 0 1
+segment = point 1.5
+equation = linear
+lambda = -0.5
+u = sin 1 1 0
+x0 = 0
+alpha = 0.7 1
+horizon = time 1.5
+outputs = trajectory residuals
+"""
+
+
+class TestResidualWarning:
+    """The warning prints the start-up value and names the likeliest cause."""
+
+    def _warnings(self, tmp_path, capsys, text):
+        cfg = tmp_path / "w.config"
+        cfg.write_text(text)
+        assert main(["simulate", str(cfg), "--out", str(tmp_path)]) == 0
+        return capsys.readouterr().err.splitlines()
+
+    def test_incompatible_data_cite_the_start_up_condition(self, tmp_path, capsys):
+        err = self._warnings(tmp_path, capsys, LINEAR_CONFIG.replace("x0 = -5", "x0 = 0"))
+        assert len(err) == 2
+        for line in err:
+            assert ("(u(0) + lambda*x0 = 1; the closed form solves the equation "
+                    "exactly only when u(0) + lambda*x0 = 0)") in line
+
+    def test_compatible_dense_data_cite_the_discretization(self, tmp_path, capsys):
+        # u(0) + lambda*x0 = sin(0) + 0 = 0: the start-up condition holds
+        err = self._warnings(tmp_path, capsys, DENSE_CONFIG)
+        assert [line.split(":")[1] for line in err] == [" d alpha=0.7", " d alpha=1"]
+        for line in err:
+            assert "(u(0) + lambda*x0 = 0; dense-run discretization" in line
+            assert "closed form" not in line
+
+    def test_alpha_one_never_cites_the_start_up_condition(self, tmp_path, capsys):
+        err = self._warnings(tmp_path, capsys, DENSE_CONFIG.replace("x0 = 0", "x0 = 1"))
+        assert "u(0) + lambda*x0 = -0.5; the closed form" in err[0]
+        assert "d alpha=1:" in err[1]
+        assert "(u(0) + lambda*x0 = -0.5; dense-run discretization" in err[1]
+
+    def test_compatible_grid_data_cite_a_divergent_kernel(self, tmp_path, capsys):
+        # |1 + alpha_bar| = 8 on the unit grid at alpha = 0.9 amplifies rounding
+        err = self._warnings(tmp_path, capsys, LINEAR_CONFIG.replace("0.25 0.5", "0.9 1"))
+        assert len(err) == 1
+        assert "demo alpha=0.9:" in err[0]
+        assert "(u(0) + lambda*x0 = 0; rounding amplified by a kernel base" in err[0]
+
+    def test_unexplained_residual(self, capsys):
+        scn = parse_config(LINEAR_CONFIG.replace("demo", "s"))[0]
+        traj = Sampled((0.0, 1.0), (0.0, 0.0))
+        cli._self_check(scn, 0.25, traj, [1.0, math.nan], cli._LINEAR_STARTUP, 0.0)
+        assert capsys.readouterr().err == (
+            "warning: s alpha=0.25: max |residual| = 1 exceeds 1e-08 "
+            "(u(0) + lambda*x0 = 0; no start-up defect, dense run or divergent "
+            "kernel explains it)\n")
+
+
+FIGURE_SHA256 = {
+    "fig1_alpha0.2.csv":
+        "4ae0184dc0c3b2c8f2d85cb98eefb52856f8ceb65a103e0d094057fb86113b57",
+    "fig1_alpha0.5.csv":
+        "8b3fd9d62a03ac631103e13d253d3545daeece300dcee281a58ad56cf8e802e0",
+    "fig1_alpha0.9.csv":
+        "9d61cf0808d6f935a03c0691a0536da129c1370400dd297a0201c010c49fe082",
+    "fig1_alpha1.csv":
+        "e4ac5bd69d8c1c639f16c9f5204d90d68bfc59adad38cb9efb89bde1955c7310",
+    "fig1_verdicts.csv":
+        "f142520b572e2bdef6a4e4a731a3c432162a0fc56840f9b410a990b1d2b1ee42",
+    "fig2_alpha0.2.csv":
+        "13064f3eb25e02be5e0464a7bd4bd453910bec04a038592f49f719a0e61b1357",
+    "fig2_alpha0.5.csv":
+        "0bae7bf163130c3b11f065de033066a99dd7d78c3b2c3887cf92ad7d562ff5bb",
+    "fig2_verdicts.csv":
+        "81f5d1e1c517a7956843fc14eacef2b7feea9f0c77d9a3f777fa27760fb3032d",
+    "fig3_h0.1_alpha0.5.csv":
+        "f3ea14da37d4a5b3dd7439fbad8dd2692eb059d45e10430525bd8ecf2a6094a7",
+    "fig3_h0.5_alpha0.5.csv":
+        "4aa4ce9bd3c7815435eeee07d3a55c9d0be8583c8e497c145a367d6c448782e2",
+    "fig3_h1_alpha0.5.csv":
+        "ecc0d15a6667bcc256c12ea85992a947cdc56839506bef1ed654175b67fe6126",
+}
+
+
 class TestFigures:
     def test_figure_bundle(self, tmp_path):
         assert main(["figures", "--which", "2", "--out", str(tmp_path)]) == 0
@@ -522,6 +611,15 @@ class TestFigures:
         assert len(_read(tmp_path / "fig3_h0.1_alpha0.5.csv")) == 31
         assert len(_read(tmp_path / "fig3_h1_alpha0.5.csv")) == 4
         assert not (tmp_path / "plot_fig3.py").exists()
+
+    def test_figure_bytes_are_pinned(self, tmp_path):
+        # grids and constant forcing only: the same bytes on Python 3.10-3.13
+        for which in (1, 2, 3):
+            assert main(["figures", "--which", str(which), "--out", str(tmp_path),
+                         "--no-plot-script"]) == 0
+        got = {f.name: hashlib.sha256(f.read_bytes()).hexdigest()
+               for f in tmp_path.glob("*.csv")}
+        assert got == FIGURE_SHA256
 
 
 class TestEnvironmentOverride:

@@ -2,6 +2,8 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cfts.calculus import exp_ts
 from cfts.errors import DomainError, NotRegressive
@@ -9,16 +11,18 @@ from cfts.fractional import CFOrder, cf_integral
 from cfts.linear import (
     LinearCFProblem,
     classical_residual,
+    classical_residual_mesh,
     classical_trajectory,
     residual_linear,
     residual_linear_mesh,
     solve_linear,
     solve_linear_trajectory,
 )
-from cfts.signals import Closure, Sampled, constant
+from cfts.signals import Closure, Sampled, constant, value
 from cfts.timescale import ContinuousInterval, IsolatedPoint, TimeScale, UniformGrid
 
 from .oracles import oracle_classical, oracle_linear_discrete
+from .test_timescale import hybrid_scales
 
 Z = TimeScale.integers(0, 40)
 RAMP = Closure(lambda t: t + 1.0, derivative=lambda t: 1.0)
@@ -272,3 +276,74 @@ class TestResidual:
         for k in range(30):
             r = classical_residual(TimeScale.integers(0, 30), 0.2, u, traj, float(k))
             assert abs(r) < 1e-12
+
+
+@st.composite
+def canonical_meshes(draw):
+    """A hybrid scale and a prefix of one of its canonical meshes, starting
+    at a segment's first point or inside an interval."""
+    ts = draw(hybrid_scales())
+    seg = ts.segments[draw(st.integers(0, len(ts.segments) - 1))]
+    a = seg.lo
+    if isinstance(seg, ContinuousInterval):
+        a += draw(st.floats(0.0, 0.9)) * (seg.hi - seg.lo)
+    mesh = ts.mesh(a, ts.t_max, draw(st.one_of(st.none(), st.floats(0.05, 1.0))))
+    return ts, mesh[:draw(st.integers(1, 300))]
+
+
+def _hexes(xs):
+    return [float.hex(x) for x in xs]
+
+
+class TestClassicalResidualMesh:
+    @settings(max_examples=120, deadline=None)
+    @given(canonical_meshes(), st.floats(-2.0, 2.0), st.booleans())
+    def test_equals_the_single_point_form(self, ts_mesh, lam, sampled_u):
+        ts, mesh = ts_mesh
+        x = Sampled(mesh, tuple(math.cos(0.7 * k) * (k + 1) for k in range(len(mesh))))
+        u = (Sampled(mesh, tuple(math.sin(k) for k in range(len(mesh)))) if sampled_u
+             else Closure(math.sin, derivative=math.cos))
+        got = classical_residual_mesh(ts, lam, u, x)
+        assert _hexes(got) == _hexes(classical_residual(ts, lam, u, x, t)
+                                     for t in mesh[:-1])
+
+    def test_scattered_zero_and_samples_forcing(self):
+        ts = TimeScale.of(IsolatedPoint(0.0), ContinuousInterval(0.3, 1.0),
+                          UniformGrid(1.2, 0.2, 4), IsolatedPoint(2.5))
+        mesh = ts.mesh(0.0, 2.5)
+        u = Sampled(mesh, tuple(1.0 + 0.1 * k for k in range(len(mesh))))
+        traj = classical_trajectory(ts, -0.5, u, 2.0, horizon=2.5)
+        assert traj.mesh == mesh
+        got = classical_residual_mesh(ts, -0.5, u, traj)
+        assert _hexes(got) == _hexes(classical_residual(ts, -0.5, u, traj, t)
+                                     for t in mesh[:-1])
+        # the recurrence solves the equation exactly at scattered points
+        assert abs(got[0]) < 1e-15 and abs(got[-1]) < 1e-15
+
+    def test_one_point_trajectory_has_no_column(self):
+        assert classical_residual_mesh(Z, 0.2, constant(1.0), Sampled((3.0,), (1.0,))) == []
+
+    def test_mesh_that_skips_a_point_is_rejected(self):
+        with pytest.raises(DomainError):
+            classical_residual_mesh(Z, 0.2, constant(1.0),
+                                    Sampled((0.0, 1.0, 3.0), (1.0, 2.0, 3.0)))
+
+    def test_residual_columns_cost_one_lookup_per_point(self, monkeypatch):
+        ts = TimeScale.of(IsolatedPoint(0.0), ContinuousInterval(0.3, 1.0),
+                          UniformGrid(1.2, 0.2, 6), IsolatedPoint(2.5))
+        u = Closure(math.sin, derivative=math.cos)
+        prob = _mk(ts, -0.5, u, 0.0, 0.4)
+        traj = solve_linear_trajectory(prob, horizon=2.5)
+        classical = classical_trajectory(ts, -0.5, u, 0.0, horizon=2.5)
+        n = len(traj.mesh)
+        assert classical.mesh == traj.mesh and n > 250
+        calls = []
+        locate = TimeScale._locate
+        monkeypatch.setattr(TimeScale, "_locate",
+                            lambda self, t: calls.append(t) or locate(self, t))
+        residual_linear_mesh(prob, traj, traj.mesh)
+        classical_residual_mesh(ts, -0.5, u, classical)
+        assert len(calls) <= n + 8  # the column snaps each point once
+        calls.clear()
+        assert [value(traj, ts, t) for t in traj.mesh] == list(traj.values)
+        assert calls == []

@@ -1,10 +1,12 @@
 import math
+from bisect import bisect_left
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cfts.errors import PointNotInTimeScale
+from cfts.signals import Sampled, value
 from cfts.timescale import (
     ContinuousInterval,
     IsolatedPoint,
@@ -345,3 +347,71 @@ def test_locate_matches_the_linear_scan(ts, extra):
             continue
         i, got = ts._locate(t)
         assert (i, float.hex(got)) == (want[0], float.hex(want[1])), t
+
+
+def _snap_then_index_value(sig, ts, t):
+    """Reference read of a Sampled signal: snap t to the scale, take the
+    mesh point within tolerance, else interpolate inside a dense run."""
+    t = ts.snap(t)
+    try:
+        return sig.values[sig.index_of(t)]
+    except PointNotInTimeScale:
+        pass
+    i = bisect_left(sig.mesh, t)
+    if i == 0 or i == len(sig.mesh):
+        raise PointNotInTimeScale(f"t={t!r} outside the sampled mesh")
+    lo, hi = sig.mesh[i - 1], sig.mesh[i]
+    w = (t - lo) / (hi - lo)
+    return (1.0 - w) * sig.values[i - 1] + w * sig.values[i]
+
+
+def _outcome(read, *args):
+    try:
+        return float.hex(read(*args))
+    except PointNotInTimeScale as exc:
+        return type(exc)
+
+
+@settings(max_examples=150, deadline=None)
+@given(hybrid_scales(), st.integers(0, 39), st.integers(0, 39),
+       st.one_of(st.none(), st.floats(0.05, 1.0)),
+       st.lists(st.integers(0, 10 ** 6), max_size=40))
+def test_value_at_mesh_points_matches_snap_then_index(ts, i, j, max_step, picks):
+    """An exact mesh-point read by index returns what the snap-then-index
+    read returns, at mesh points, off them by atol/2, inside dense cells,
+    in gaps and at non-finite t."""
+    segs = ts.segments
+    lo, hi = sorted((segs[i % len(segs)], segs[j % len(segs)]), key=lambda s: s.lo)
+    mesh = ts.mesh(lo.lo, hi.hi, max_step)
+    sig = Sampled(mesh, tuple(math.sin(3.0 * k) + k for k in range(len(mesh))))
+    ks = {0, len(mesh) - 1, *(p % len(mesh) for p in picks)}
+    probes = [math.inf, -math.inf, math.nan, ts.t_min - 1.0, ts.t_max + 1.0]
+    for k in sorted(ks):
+        t = mesh[k]
+        probes += [t, t - 0.5 * _atol(t), t + 0.5 * _atol(t)]
+        if k + 1 < len(mesh):
+            probes.append(0.5 * (t + mesh[k + 1]))  # dense interior or a gap
+    probes += [0.5 * (s.hi + n.lo) for s, n in zip(segs, segs[1:])]
+    for t in probes:
+        assert (_outcome(value, sig, ts, t)
+                == _outcome(_snap_then_index_value, sig, ts, t)), t
+
+
+def test_value_at_a_stored_point_needs_no_lookup(monkeypatch):
+    sig = Sampled(HYB.mesh(0.0, 2.0), tuple(range(258)))
+    calls = []
+    monkeypatch.setattr(TimeScale, "_locate",
+                        lambda self, t: calls.append(t) or (0, t))
+    assert [value(sig, HYB, t) for t in sig.mesh] == list(sig.values)
+    assert calls == []
+
+
+def test_value_reads_an_off_scale_mesh_point_by_index():
+    # a hand-built mesh may hold a point the scale lacks: it reads by index
+    # (the snap-then-index read raised there), while other off-scale t raise
+    sig = Sampled((0.0, 0.5, 1.0), (1.0, 2.0, 3.0))
+    assert value(sig, Z30, 0.5) == 2.0
+    with pytest.raises(PointNotInTimeScale):
+        _snap_then_index_value(sig, Z30, 0.5)
+    with pytest.raises(PointNotInTimeScale):
+        value(sig, Z30, 0.25)
