@@ -23,8 +23,8 @@ kind (u(0) + lambda*x0 or f(a, x0)) and the likeliest cause (see
 numeric tolerance (a finite number >= 0; quadrature and fixed-point
 stopping; default 1e-10).
 
-Errors exit with a code and a one-line message on stderr: 2 for a config
-or domain error, 3 for a regressivity violation, 4 for a fixed-point
+Errors exit with a code and a one-line message on stderr: 2 for a config,
+path or domain error, 3 for a regressivity violation, 4 for a fixed-point
 iteration that is not contractive or spends its budget, and 5 for
 quadrature that did not converge.
 """
@@ -120,8 +120,7 @@ def _nonlinear_trajectory(scn: Scenario, alpha: float, tol: float):
     traj = result.solution
     line = (f"scenario={scn.name} alpha={_alpha_tag(alpha)} "
             f"q={_fmt(result.contraction_q)} iterations={result.iterations} "
-            f"final_defect={_fmt(result.final_defect)} "
-            f"apriori_bound={_fmt(result.apriori_bound)}")
+            f"final_defect={_fmt(result.final_defect)}")
     return (traj, residual_nonlinear_mesh(prob, traj, traj.mesh), line,
             prob.rhs(prob.a, prob.x0))
 
@@ -198,7 +197,7 @@ def _run(config_path: str, out_dir: str, tol: float, kind: str) -> int:
     kinds = {"linear": ("simulate", _linear_trajectory, _LINEAR_STARTUP),
              "nonlinear": ("solve-nonlinear", _nonlinear_trajectory,
                            _NONLINEAR_STARTUP)}
-    scenarios = parse_config(Path(config_path).read_text())
+    scenarios = parse_config(Path(config_path).read_text(encoding="utf-8"))
     for scn in scenarios:
         if scn.kind != kind:
             raise ConfigError(f"scenario '{scn.name}' is {scn.kind}; "
@@ -441,7 +440,7 @@ def _build_parser() -> argparse.ArgumentParser:
 #: Exit code and one-line message prefix per error type, first match wins
 #: (NotRegressive is a NonRegressiveParameter).
 _EXITS = (
-    ((ConfigError, FileNotFoundError), 2, "config error"),
+    ((ConfigError, OSError, UnicodeDecodeError), 2, "config error"),
     ((DomainError, PointNotInTimeScale), 2, "domain error"),
     ((NonRegressiveParameter,), 3, "regressivity violation"),
     ((NotContractive,), 4, "not contractive"),

@@ -1,4 +1,4 @@
-"""Fixed-point solver for the nonlinear fractional initial value problem
+"""Forward-march solver for the nonlinear fractional initial value problem
 
     D^(alpha)_a x (t) = f(t, x(t)),    x(a) = x0,    t in [a, b].
 
@@ -9,8 +9,10 @@ Inverting the operator turns this into x = N x with
 
 and N is a contraction in the sup norm with constant
 q = ((1-alpha) + alpha*(b-a)) * L whenever q < 1, L a Lipschitz bound of f
-in x.  Successive substitution from the constant start iterate then
-converges geometrically to the unique fixed point.
+in x: the paper's admission rule, and the one ``picard_solve`` applies.
+On a mesh the discrete N is lower-triangular (x at t_k depends on x at
+t_j, j <= k, only), so its unique fixed point comes from one forward walk
+over the cells, with a scalar successive substitution at each point.
 
 ``residual_nonlinear_mesh`` re-checks a solution over its whole mesh in one
 forward kernel march; since the operator vanishes at a, its first entry is
@@ -19,7 +21,7 @@ forward kernel march; since the operator vanishes at a, its first entry is
 
 from __future__ import annotations
 
-import warnings
+import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -57,14 +59,13 @@ class NonlinearCFProblem:
 
 @dataclass(frozen=True)
 class PicardResult:
-    """Converged iteration: the solution and its convergence record."""
+    """Solved march: the solution, the largest inner iteration count and
+    the largest last update over the points, and the paper's q."""
 
     solution: Sampled
     iterations: int
     final_defect: float
     contraction_q: float
-    update_norms: tuple[float, ...]
-    apriori_bound: float
 
 
 def contraction_check(prob: NonlinearCFProblem) -> float:
@@ -80,30 +81,21 @@ def max_contractive_window(lipschitz_l: float, alpha: float) -> float:
     return max(0.0, (1.0 / lipschitz_l - (1.0 - alpha)) / alpha)
 
 
-def _cumulative_integral(cells: list[tuple[float, float, float]],
-                         g: list[float]) -> list[float]:
-    """Running delta integral of mesh samples over the cells of the mesh:
-    mu-weighted sums on scattered cells, trapezoid on dense cells."""
-    cum = [0.0]
-    for i, (lo, hi, mu) in enumerate(cells):
-        dt = hi - lo
-        if mu:
-            cum.append(cum[-1] + dt * g[i])
-        else:
-            cum.append(cum[-1] + 0.5 * dt * (g[i] + g[i + 1]))
-    return cum
-
-
 def picard_solve(prob: NonlinearCFProblem, tol: float = DEFAULT_TOL,
-                 max_iter: int = DEFAULT_MAX_ITER, start: Signal | None = None,
-                 check_lipschitz: bool = False) -> PicardResult:
-    """Iterate x <- N x on the mesh of [a, b] until the sup-norm update
-    drops below ``tol``.
+                 max_iter: int = DEFAULT_MAX_ITER) -> PicardResult:
+    """Solve x = N x on the mesh of [a, b] in one forward march.
+
+    The discrete map is lower-triangular: x_k = c_k + beta_k * f(t_k, x_k),
+    where c_k collects x0, -(1-alpha) f(a, x0) and alpha times the delta
+    integral over the cells before t_k (a dense cell's trapezoid puts half
+    its weight on x_k, so beta_k = (1-alpha) + alpha*dt/2 there and 1-alpha
+    on a scattered cell).  Each point is solved by successive substitution,
+    warm-started at the previous point, until the update is <= ``tol``; a
+    non-finite iterate ends that point's iteration.  Since beta_k * L <= q,
+    every scalar map contracts whenever q < 1.
 
     Raises NotContractive (with the largest admissible window length) when
-    q >= 1, and MaxIterationsExceeded when the budget runs out.  With
-    ``check_lipschitz`` the supplied bound is sanity-sampled on a (t, x)
-    grid around the start value and a warning is emitted if exceeded.
+    q >= 1, and MaxIterationsExceeded when a point spends ``max_iter``.
     """
     q = contraction_check(prob)
     if q >= 1.0:
@@ -111,45 +103,35 @@ def picard_solve(prob: NonlinearCFProblem, tol: float = DEFAULT_TOL,
                                                        prob.order.alpha))
     ts, f, alpha = prob.ts, prob.rhs, prob.order.alpha
     mesh = ts.mesh(prob.a, prob.b)
-    cells = list(ts.cells(mesh))  # one cell per mesh step
-    if start is None:
-        x = [prob.x0] * len(mesh)
-    else:
-        x = [value(start, ts, t) for t in mesh]
-
-    f_at_a = f(mesh[0], prob.x0)  # fixed across iterations
-    norms: list[float] = []
-    for iteration in range(1, max_iter + 1):
-        g = [f(t, xi) for t, xi in zip(mesh, x)]
-        cum = _cumulative_integral(cells, g)
-        x_new = [prob.x0 + alpha * ci + (1.0 - alpha) * (gi - f_at_a)
-                 for ci, gi in zip(cum, g)]
-        defect = max(abs(a_ - b_) for a_, b_ in zip(x_new, x))
-        norms.append(defect)
-        x = x_new
-        if defect <= tol:
-            if check_lipschitz:
-                _sample_lipschitz(prob, mesh, norms[0], q)
-            bound = (q ** iteration / (1.0 - q)) * norms[0] if norms else 0.0
-            return PicardResult(Sampled(mesh, tuple(x)), iteration, defect, q,
-                                tuple(norms), bound)
-    raise MaxIterationsExceeded(
-        f"no convergence after {max_iter} iterations (last update {norms[-1]:g})")
-
-
-def _sample_lipschitz(prob: NonlinearCFProblem, mesh, first_norm: float,
-                      q: float) -> None:
-    radius = max(first_norm / (1.0 - q), 1e-6)
-    xs = [prob.x0 + radius * (k / 4.0) for k in range(-4, 5)]
-    worst = 0.0
-    for t in mesh:
-        for x1, x2 in zip(xs, xs[1:]):
-            slope = abs(prob.rhs(t, x2) - prob.rhs(t, x1)) / (x2 - x1)
-            worst = max(worst, slope)
-    if worst > prob.lipschitz_l * (1.0 + 1e-9):
-        warnings.warn(
-            f"sampled slope {worst:g} exceeds the supplied Lipschitz bound "
-            f"{prob.lipschitz_l:g}", stacklevel=3)
+    x = prob.x0
+    g = f(mesh[0], x)
+    base = x - (1.0 - alpha) * g
+    xs, cum, iterations, defect = [x], 0.0, 0, 0.0
+    for lo, hi, mu in ts.cells(mesh):
+        dt = hi - lo
+        if mu:
+            cum += dt * g
+            beta = 1.0 - alpha
+        else:
+            cum += 0.5 * dt * g
+            beta = (1.0 - alpha) + alpha * 0.5 * dt
+        c = base + alpha * cum
+        for n in range(1, max_iter + 1):
+            x_new = c + beta * f(hi, x)
+            update = abs(x_new - x)
+            x = x_new
+            if update <= tol or not math.isfinite(x):
+                break
+        else:
+            raise MaxIterationsExceeded(
+                f"no convergence at t = {hi:g} after {max_iter} iterations "
+                f"(last update {update:g})")
+        iterations, defect = max(iterations, n), max(defect, update)
+        g = f(hi, x)
+        if not mu:
+            cum += 0.5 * dt * g
+        xs.append(x)
+    return PicardResult(Sampled(mesh, tuple(xs)), iterations, defect, q)
 
 
 def residual_nonlinear_mesh(prob: NonlinearCFProblem, x: Signal,

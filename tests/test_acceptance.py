@@ -52,6 +52,7 @@ from .oracles import (
     oracle_cf_delta_discrete,
     oracle_cf_integral_discrete,
     oracle_linear_discrete,
+    oracle_picard,
     oracle_startup_defect_discrete,
 )
 
@@ -313,9 +314,13 @@ def test_criterion_9_picard():
                               0.0, CFOrder(0.5))
     res = picard_solve(prob, tol=1e-12)
     assert res.contraction_q == pytest.approx(0.2)
-    for prev, nxt in zip(res.update_norms, res.update_norms[1:]):
+    # the global iteration contracts by q per sweep to the march's solution
+    xs, norms = oracle_picard(res.solution.mesh, [False], prob.rhs, 0.0, 0.5, 1e-12)
+    assert len(norms) >= 3
+    for prev, nxt in zip(norms, norms[1:]):
         if prev > 1e-14:
             assert nxt <= (res.contraction_q + 0.05) * prev
+    assert max(abs(x - y) for x, y in zip(xs, res.solution.values)) <= 1e-11
 
     for alpha in (0.2, 0.5, 0.8):
         for w in (1.0, 2.0, 3.0):

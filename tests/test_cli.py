@@ -225,6 +225,26 @@ class TestSimulate:
     def test_missing_file_exit_code(self, tmp_path):
         assert main(["simulate", str(tmp_path / "nope.config")]) == 2
 
+    @pytest.mark.parametrize("case", ["figures-out-is-a-file", "out-below-a-file",
+                                      "config-is-a-directory", "stability-out-is-a-directory",
+                                      "config-not-utf8"])
+    def test_path_and_encoding_errors_exit_code(self, tmp_path, capsys, case):
+        cfg = tmp_path / "c.config"
+        cfg.write_text(NONLINEAR_CONFIG)
+        afile = tmp_path / "afile"
+        afile.write_text("")
+        argv = {
+            "figures-out-is-a-file": ["figures", "--which", "2", "--out", str(afile)],
+            "out-below-a-file": ["solve-nonlinear", str(cfg), "--out", str(afile / "sub")],
+            "config-is-a-directory": ["simulate", str(tmp_path)],
+            "stability-out-is-a-directory": ["stability", "--lambda", "1", "--alpha", "0.5",
+                                             "--h", "1", "--out", str(tmp_path)],
+            "config-not-utf8": ["simulate", str(cfg)],
+        }[case]
+        if case == "config-not-utf8":
+            cfg.write_bytes(b"\xff\xfe" + LINEAR_CONFIG.encode())
+        assert _one_line_error(main(argv), capsys) == "config error"
+
     def test_regressivity_exit_code(self, tmp_path, capsys):
         cfg = tmp_path / "reg.config"
         cfg.write_text(LINEAR_CONFIG.replace("lambda = 0.2", "lambda = 2")
@@ -490,6 +510,20 @@ class TestSolveNonlinear:
         cfg = tmp_path / "demo.config"
         cfg.write_text(LINEAR_CONFIG)
         assert main(["solve-nonlinear", str(cfg), "--out", str(tmp_path)]) == 2
+
+    def test_overflow_exit_code(self, tmp_path, capsys):
+        # the solution passes 1.8e308 within the window; the march hands the
+        # non-finite values on to the finiteness check instead of iterating
+        cfg = tmp_path / "blow.config"
+        cfg.write_text(NONLINEAR_CONFIG.replace("grid 0 1 4", "grid 0 0.1 11")
+                       .replace("affine 0.2 1", "affine 0.5 1e308")
+                       .replace("lipschitz = 0.2", "lipschitz = 0.5")
+                       .replace("x0 = -5", "x0 = 1e308").replace("window = 0 3", "window = 0 1")
+                       .replace("alpha = 0.25", "alpha = 0.5"))
+        out = tmp_path / "out"
+        assert _one_line_error(main(["solve-nonlinear", str(cfg), "--out", str(out)]),
+                               capsys) == "domain error"
+        assert not out.exists()
 
     def test_late_errors_leave_no_output(self, tmp_path, capsys):
         # each input fails after a first job that alone would succeed and warn

@@ -242,6 +242,19 @@ class TestLeftPrefix:
         assert calls == [(0.0, 2.5)]
 
 
+WAVE = Closure(lambda t: math.sin(1.3 * t) + 0.2 * t,
+               derivative=lambda t: 1.3 * math.cos(1.3 * t) + 0.2)
+
+
+def _derivative_column(ts, mesh, order):
+    """D^(alpha)_0 WAVE on a mesh from 0 as a sampled signal; draws whose
+    kernel vanishes (1 + mu*alpha_bar = 0) are assumed away."""
+    try:
+        return Sampled(mesh, tuple(cf_delta_left_prefix(ts, WAVE, mesh, order)))
+    except NonRegressiveKernel:
+        assume(False)
+
+
 def test_oracles_do_not_import_the_package():
     tree = ast.parse((Path(__file__).parent / "oracles.py").read_text())
     imported = set()
@@ -347,6 +360,40 @@ class TestFractionalIntegral:
             want = oracle_cf_integral_discrete(u, h, alpha, t_i)
             got = cf_integral(ts, sig, t_i * h, CFOrder(alpha))
             assert got == pytest.approx(want, rel=1e-12, abs=1e-12)
+
+    # For y = D^(alpha)_0 f, (1-alpha) y^delta + alpha y = f^delta and y(0) = 0,
+    # so the fractional integral of y gives back f(t) - f(0).  A divergent
+    # kernel |1 + mu*alpha_bar| > 1 grows y far past f, and the integral then
+    # cancels terms of y's size, so the bound scales with max |y| too.
+
+    @settings(max_examples=60, deadline=None)
+    @given(timescales(start=0.0, kinds=("grid", "point")), st.floats(0.05, 0.95))
+    def test_inverts_the_derivative_on_scattered_scales(self, ts, alpha):
+        order = CFOrder(alpha)
+        mesh = ts.mesh(0.0, ts.t_max)
+        y = _derivative_column(ts, mesh, order)
+        scale = max(1.0, *map(abs, y.values))
+        for t in mesh:
+            want = WAVE.func(t) - WAVE.func(0.0)
+            assert abs(cf_integral(ts, y, t, order) - want) <= 1e-12 * max(scale, abs(want))
+
+    @settings(max_examples=25, deadline=None)
+    @given(timescales(start=0.0), st.floats(0.05, 0.95))
+    def test_inverts_the_derivative_to_second_order_on_dense_runs(self, ts, alpha):
+        # the trapezoid over dense pieces errs by O(h^2): quartering the
+        # step must cut the error at least 8-fold
+        assume(any(isinstance(s, ContinuousInterval) for s in ts.segments))
+        order = CFOrder(alpha)
+        coarse, fine = (ts.mesh(0.0, ts.t_max, max_step=h) for h in (0.01, 0.0025))
+        shared = sorted(set(coarse) & set(fine))
+        shared = shared[::max(1, len(shared) // 8)] + [ts.t_max]
+        errors, scale = [], 1.0
+        for mesh in (coarse, fine):
+            y = _derivative_column(ts, mesh, order)
+            scale = max(scale, *map(abs, y.values))
+            errors.append(max(abs(cf_integral(ts, y, t, order) - (WAVE.func(t) - WAVE.func(0.0)))
+                              for t in shared))
+        assert errors[1] <= errors[0] / 8.0 + 1e-12 * scale
 
     def test_alpha_zero_rejected(self):
         with pytest.raises(DomainError):

@@ -1,6 +1,8 @@
 import math
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from cfts.errors import DomainError, MaxIterationsExceeded, NotContractive
 from cfts.fractional import CFOrder
@@ -16,9 +18,23 @@ from cfts.nonlinear import (
 from cfts.signals import Closure, constant
 from cfts.timescale import TimeScale
 
+from .oracles import oracle_picard
+from .test_timescale import timescales
+
 
 def _prob(ts, rhs, L, a, b, x0, alpha):
     return NonlinearCFProblem(ts, rhs, L, a, b, x0, CFOrder(alpha))
+
+
+def _oracle(p, tol, start=None):
+    """The global Picard iteration of ``tests/oracles.py`` on p's mesh."""
+    mesh = p.ts.mesh(p.a, p.b)
+    dense = [mu == 0.0 for _, _, mu in p.ts.cells(mesh)]
+    return oracle_picard(mesh, dense, p.rhs, p.x0, p.order.alpha, tol, start)
+
+
+def _gap(xs, ys):
+    return max(abs(x - y) for x, y in zip(xs, ys))
 
 
 class TestContractionCheck:
@@ -73,25 +89,27 @@ class TestPicard:
             assert got == pytest.approx(solve_linear(lin, float(k)), abs=1e-8)
 
     def test_update_norms_contract_geometrically(self):
+        # the sweeps of the global iteration shrink by q, and its fixed
+        # point is the march's
         p = _prob(TimeScale.integers(0, 2), lambda t, x: 0.3 * math.sin(x) + 1.0,
                   0.3, 0, 2, 0.0, 0.4)
         q = contraction_check(p)
-        res = picard_solve(p, tol=1e-12)
-        norms = res.update_norms
+        xs, norms = _oracle(p, 1e-12)
         assert len(norms) >= 3
         for prev, nxt in zip(norms[1:], norms[2:]):
             if prev > 1e-14:
                 assert nxt <= (q + 0.05) * prev
+        assert _gap(picard_solve(p, tol=1e-13).solution.values, xs) <= 1e-12
 
     def test_two_starts_reach_the_same_fixed_point(self):
         ts = TimeScale.integers(0, 2)
         rhs = lambda t, x: 0.25 * math.cos(x) + 0.5
         p = _prob(ts, rhs, 0.25, 0, 2, 1.0, 0.5)
         tol = 1e-11
-        a = picard_solve(p, tol=tol)
-        b = picard_solve(p, tol=tol, start=constant(2.0))
-        worst = max(abs(x - y) for x, y in zip(a.solution.values, b.solution.values))
-        assert worst < 10.0 * tol
+        a, _ = _oracle(p, tol)
+        b, _ = _oracle(p, tol, start=[2.0] * len(a))
+        assert _gap(a, b) < 10.0 * tol
+        assert _gap(picard_solve(p, tol=tol).solution.values, a) < 10.0 * tol
 
     def test_not_contractive_boundary_inclusive(self):
         # q = (0.7 + 0.3) * 1 = 1.0 sits exactly on the theorem's boundary
@@ -130,20 +148,40 @@ class TestPicard:
             picard_solve(p, tol=1e-15, max_iter=2)
 
     def test_apriori_bound_holds(self):
+        # Banach: |x_n - x*| <= q^n / (1-q) * |x_1 - x_0| for the global
+        # iteration, with the march (solved to round-off) standing for x*
         ts = TimeScale.integers(0, 2)
         rhs = lambda t, x: 0.3 * math.sin(x) + 1.0
         p = _prob(ts, rhs, 0.3, 0, 2, 0.0, 0.4)
-        res = picard_solve(p, tol=1e-12)
-        refined = picard_solve(p, tol=1e-15, start=res.solution)
-        worst = max(abs(x - y) for x, y in
-                    zip(res.solution.values, refined.solution.values))
-        assert worst <= res.apriori_bound + 1e-15
+        q = contraction_check(p)
+        march = picard_solve(p, tol=1e-15).solution.values
+        for tol in (1e-2, 1e-6, 1e-12):
+            xs, norms = _oracle(p, tol)
+            bound = q ** len(norms) / (1.0 - q) * norms[0]
+            assert _gap(xs, march) <= bound + 1e-15
 
-    def test_lipschitz_understatement_warns(self):
-        p = _prob(TimeScale.integers(0, 1), lambda t, x: 0.8 * x + 1.0, 0.3,
-                  0, 1, 0.0, 0.5)  # true slope 0.8, claimed 0.3
-        with pytest.warns(UserWarning):
-            picard_solve(p, check_lipschitz=True)
+    def test_understated_lipschitz_bound_spends_the_budget(self):
+        # the claimed L = 0.1 admits the window (q = 0.15), but the true
+        # slope 3 makes each point's map x <- c + 0.5*(3x + 1) expand by 1.5
+        p = _prob(TimeScale.grid(0.0, 0.5, 5), lambda t, x: 3.0 * x + 1.0, 0.1,
+                  0, 2, 0.0, 0.5)
+        assert contraction_check(p) == pytest.approx(0.15)
+        with pytest.raises(MaxIterationsExceeded, match="at t = 0.5 "):
+            picard_solve(p)
+
+    @settings(max_examples=60, deadline=None)
+    @given(timescales(), st.floats(0.0, 0.99), st.floats(0.05, 0.8),
+           st.floats(-2.0, 2.0), st.data())
+    def test_march_matches_the_global_iteration(self, ts, alpha, q, x0, data):
+        mesh = ts.mesh(ts.t_min, ts.t_max)
+        assume(len(mesh) >= 2)
+        i = data.draw(st.integers(0, len(mesh) - 2))
+        a, b = mesh[i], data.draw(st.sampled_from(mesh[i + 1:]))
+        L = q / ((1.0 - alpha) + alpha * (b - a))
+        p = _prob(ts, lambda t, x: L * math.sin(x + t) + math.cos(t), L,
+                  a, b, x0, alpha)
+        xs, _ = _oracle(p, 1e-13)
+        assert _gap(picard_solve(p, tol=1e-13).solution.values, xs) <= 1e-12
 
     def test_validation(self):
         with pytest.raises(DomainError):

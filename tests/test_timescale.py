@@ -184,12 +184,15 @@ class TestParsing:
 
 
 @st.composite
-def timescales(draw):
-    start = draw(st.floats(-5.0, 5.0))
+def timescales(draw, start=None, kinds=("interval", "grid", "point")):
+    """Hybrid scales of 1-4 segments from ``kinds``, from ``start`` (drawn
+    in [-5, 5] when None)."""
+    if start is None:
+        start = draw(st.floats(-5.0, 5.0))
     segs = []
     pos = start
     for _ in range(draw(st.integers(1, 4))):
-        kind = draw(st.sampled_from(["interval", "grid", "point"]))
+        kind = draw(st.sampled_from(kinds))
         if kind == "interval":
             length = draw(st.floats(0.25, 2.0))
             segs.append(ContinuousInterval(pos, pos + length))
