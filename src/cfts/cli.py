@@ -26,7 +26,8 @@ stopping; default 1e-10).
 Errors exit with a code and a one-line message on stderr: 2 for a config,
 path or domain error, 3 for a regressivity violation, 4 for a fixed-point
 iteration that is not contractive or spends its budget, and 5 for
-quadrature that did not converge.
+quadrature that did not converge.  A stdout closed by its reader (``cfts
+stability ... | head``) exits 1 with nothing on stderr.
 """
 
 from __future__ import annotations
@@ -57,7 +58,15 @@ from .linear import (
     solve_linear_trajectory,
 )
 from .nonlinear import NonlinearCFProblem, picard_solve, residual_nonlinear_mesh
-from .stability import StabilityVerdict, _hz, _r, classify_hz, classify_r
+from .stability import (
+    StabilityVerdict,
+    _classify_block,
+    _hz,
+    _p_column,
+    _r,
+    classify_hz,
+    classify_r,
+)
 from .signals import value
 from .timescale import ContinuousInterval, UniformGrid
 
@@ -262,36 +271,35 @@ def cmd_stability(lams, alphas, hs, continuous: bool, out_path: str | None) -> i
     Every block's classifier is built, and so its alpha and h checked,
     before the output is opened, so an error leaves no file and no stdout.
     Each row is the bytes that ``_fmt`` gives for ``verdict_row``.  Each
-    lambda is formatted once per sweep and each p_alpha once per (lambda,
-    alpha): p_alpha does not depend on h, so the first block of an alpha
-    formats its p column and later blocks reuse it.
+    block is classified by its cells (``stability._classify_block``): only
+    the rows near a cut point and the first row of each cell call the
+    classifier, and each distinct verdict is formatted once per block.
+    Each lambda is formatted once per sweep, and each p_alpha once per
+    (lambda, alpha): p_alpha does not depend on h, so the first block of
+    an alpha computes and formats its p column and later blocks reuse it.
     """
     blocks = ([(alpha, None) for alpha in alphas] if continuous
               else [(alpha, h) for h in hs for alpha in alphas])
     for alpha, h in blocks:
         _r(alpha) if h is None else _hz(alpha, h)
     lam_strs = [f"{lam:.17g}" for lam in lams]
-    p_cols: dict[float, list[str]] = {}
+    p_cols: dict[float, tuple[list[float], list[str]]] = {}
     with (open(out_path, "w", newline="") if out_path
           else contextlib.nullcontext(sys.stdout)) as fh:
         fh.write(",".join(VERDICT_HEADER) + "\n")
         for alpha, h in blocks:
             mid = f",{_fmt(alpha)},{'' if h is None else _fmt(h)},"
-            verdicts = ([classify_r(lam, alpha) for lam in lams] if h is None
-                        else [classify_hz(lam, alpha, h) for lam in lams])
-            p_col = p_cols.get(alpha)
-            if p_col is None:
-                p_col = p_cols[alpha] = [f"{v.p_alpha:.17g}" for v in verdicts]
-            # the classifier returns one of a few bounds tuples per block
-            tails: dict[tuple, str] = {}
-            lines = []
-            for lam_s, (status, mechanism, _, bounds, _), p_s in zip(
-                    lam_strs, verdicts, p_col):
-                tail = tails.get(bounds)
-                if tail is None:
-                    tail = tails[bounds] = ",".join(map(_fmt, bounds))
-                lines.append(f"{lam_s}{mid}{status},{mechanism},{p_s},{tail}\n")
-            fh.write("".join(lines))
+            if alpha not in p_cols:
+                ps = _p_column(lams, alpha)
+                p_cols[alpha] = ps, [f"{p:.17g}" for p in ps]
+            ps, p_strs = p_cols[alpha]
+            verdicts, index = _classify_block(lams, ps, alpha, h)
+            # each row is lam_s + head + p_s + tail of its verdict
+            parts = [(f"{mid}{v.status},{v.mechanism},",
+                      f",{_fmt(v.boundary_values[0])},{_fmt(v.boundary_values[1])}\n")
+                     for v in verdicts]
+            fh.write("".join([f"{lam_s}{head}{p_s}{tail}" for lam_s, p_s, (head, tail)
+                              in zip(lam_strs, p_strs, map(parts.__getitem__, index))]))
     return 0
 
 
@@ -456,21 +464,30 @@ def main(argv=None) -> int:
         if tol < 0.0:
             raise ConfigError(f"expected a tolerance >= 0, got {tol:g}", None, "CFTS_TOL")
         if args.command == "simulate":
-            return cmd_simulate(args.config, args.out, tol)
-        if args.command == "stability":
+            code = cmd_simulate(args.config, args.out, tol)
+        elif args.command == "stability":
             lams = _parse_sweep(args.lam, "--lambda")
             alphas = _parse_sweep(args.alpha, "--alpha")
             hs = _parse_sweep(args.h, "--h") if args.h is not None else []
-            return cmd_stability(lams, alphas, hs, args.continuous, args.out)
-        if args.command == "solve-nonlinear":
-            return cmd_solve_nonlinear(args.config, args.out, tol)
-        if args.command == "figures":
-            return cmd_figures(args.which, args.out, tol, not args.no_plot_script)
+            code = cmd_stability(lams, alphas, hs, args.continuous, args.out)
+        elif args.command == "solve-nonlinear":
+            code = cmd_solve_nonlinear(args.config, args.out, tol)
+        else:
+            code = cmd_figures(args.which, args.out, tol, not args.no_plot_script)
+        # a reader that closes stdout early must fail here, inside the try
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # `| head` closed stdout: not an input error, so no message; the
+        # flush at exit goes to the null device instead of raising again
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 1
     except tuple(t for types, _, _ in _EXITS for t in types) as exc:
         code, prefix = next((c, p) for types, c, p in _EXITS if isinstance(exc, types))
         print(f"{prefix}: {exc}", file=sys.stderr)
         return code
-    return 0
 
 
 if __name__ == "__main__":

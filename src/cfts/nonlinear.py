@@ -94,9 +94,12 @@ def picard_solve(prob: NonlinearCFProblem, tol: float = DEFAULT_TOL,
     non-finite iterate ends that point's iteration.  Since beta_k * L <= q,
     every scalar map contracts whenever q < 1.
 
-    Raises NotContractive (with the largest admissible window length) when
-    q >= 1, and MaxIterationsExceeded when a point spends ``max_iter``.
+    Raises DomainError for ``max_iter < 1``, NotContractive (with the
+    largest admissible window length) when q >= 1, and
+    MaxIterationsExceeded when a point spends ``max_iter``.
     """
+    if max_iter < 1:
+        raise DomainError("max_iter must be >= 1")
     q = contraction_check(prob)
     if q >= 1.0:
         raise NotContractive(q, max_contractive_window(prob.lipschitz_l,

@@ -18,13 +18,28 @@ Nothing is on an infinite threshold, and a non-finite x is never on a
 boundary, so an overflowed 1 + h*p (h near the float maximum) is
 classified by the sign tests instead of being reported as a regressivity
 violation.
+
+A sweep classifies one (alpha, h) block by its cells.  The verdict
+changes only near a few cut points: in lambda 0, the pole 1/(1-alpha) and
+the threshold -2/A (A = h*alpha - 2(1-alpha)); in p 0, the edge -2/h and
+the S_R point -1/h (on the reals: lambda 0 and 1/(1-alpha), p 0).  Each
+finite cut c gets the band c +- 1e3 * BOUNDARY_TOL * max(1, |c|), and
+overlapping bands are merged.  A row whose lambda and p both lie outside
+every band is 1000 times further from each boundary test than the test
+reaches (|x - y| <= BOUNDARY_TOL * max(1, |y|) or BOUNDARY_TOL * |x|,
+|K| <= BOUNDARY_TOL, |1 + h*p| <= BOUNDARY_TOL), so the classifier ends
+at its last line, ``edge < p < 0``: the p-region fixes the status and the
+lambda-region the bounds.  Such a row takes the verdict of the first row
+of its (lambda-region, p-region) cell; every row inside a band, or with
+p NaN, is classified on its own.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-from collections.abc import Callable
+from bisect import bisect
+from collections.abc import Callable, Sequence
 from typing import NamedTuple
 
 from .calculus import _kills
@@ -63,6 +78,31 @@ class StabilityVerdict(NamedTuple):
 _NO_BOUNDS = (math.nan, math.nan)
 
 
+class _Block(NamedTuple):
+    """The classifier of one (alpha, h) pair or one alpha, as a function of
+    lambda, and the sorted flat [lo, hi, lo, hi, ...] bounds of its
+    disjoint lambda- and p-bands (see ``_bands``)."""
+
+    classify: Callable[[float], StabilityVerdict]
+    lam_bands: list[float]
+    p_bands: list[float]
+
+
+def _bands(*cuts: float) -> list[float]:
+    """The bands c +- 1e3 * BOUNDARY_TOL * max(1, |c|) of the finite cuts,
+    overlapping ones merged, as a sorted flat [lo, hi, lo, hi, ...] list:
+    a value lies inside a band iff its ``bisect`` index is odd."""
+    flat: list[float] = []
+    # c - w increases with c, so the bands come in order of their low ends
+    for c in sorted(c for c in cuts if math.isfinite(c)):
+        w = 1e3 * BOUNDARY_TOL * max(1.0, abs(c))
+        if flat and c - w <= flat[-1]:
+            flat[-1] = max(flat[-1], c + w)
+        else:
+            flat += [c - w, c + w]
+    return flat
+
+
 def _band(y: float) -> float:
     """BOUNDARY_TOL * max(1, |y|) for a finite threshold y; -1.0, which no
     distance is within, for an infinite one."""
@@ -70,9 +110,9 @@ def _band(y: float) -> float:
 
 
 @functools.lru_cache(maxsize=64)
-def _hz(alpha: float, h: float) -> Callable[[float], StabilityVerdict]:
-    """The step-h grid classifier of one (alpha, h) pair, as a function
-    of lambda; raises DomainError for an alpha or h out of range."""
+def _hz(alpha: float, h: float) -> _Block:
+    """The step-h grid classifier of one (alpha, h) pair and its bands;
+    raises DomainError for an alpha or h out of range."""
     if h <= 0.0:
         raise DomainError("grid step h must be positive")
     if not 0.0 < alpha <= 1.0:
@@ -125,7 +165,10 @@ def _hz(alpha: float, h: float) -> Callable[[float], StabilityVerdict]:
         return StabilityVerdict(STABLE if stable else UNSTABLE,
                                 IN_SC if stable else OUTSIDE, p, bounds, branch)
 
-    return classify
+    return _Block(classify,
+                  _bands(0.0, 1.0 / abar if abar else math.inf,
+                         -2.0 / A if A else math.inf),
+                  _bands(0.0, edge, -1.0 / h))
 
 
 def classify_hz(lam: float, alpha: float, h: float) -> StabilityVerdict:
@@ -137,13 +180,13 @@ def classify_hz(lam: float, alpha: float, h: float) -> StabilityVerdict:
     lambda > 2/(2(1-alpha) - h*alpha).  Both are the real Hilger-circle
     condition p in (-2/h, 0).
     """
-    return _hz(alpha, h)(lam)
+    return _hz(alpha, h).classify(lam)
 
 
 @functools.lru_cache(maxsize=64)
-def _r(alpha: float) -> Callable[[float], StabilityVerdict]:
-    """The continuous classifier of one alpha, as a function of lambda;
-    raises DomainError for an alpha out of range."""
+def _r(alpha: float) -> _Block:
+    """The continuous classifier of one alpha and its bands; raises
+    DomainError for an alpha out of range."""
     if not 0.0 < alpha < 1.0:
         raise DomainError("classify_r needs alpha in (0, 1)")
     abar = 1.0 - alpha
@@ -175,13 +218,53 @@ def _r(alpha: float) -> Callable[[float], StabilityVerdict]:
         return StabilityVerdict(STABLE if stable else UNSTABLE,
                                 IN_SC if stable else OUTSIDE, p, bounds, "continuous")
 
-    return classify
+    return _Block(classify, _bands(0.0, thr), _bands(0.0))
 
 
 def classify_r(lam: float, alpha: float) -> StabilityVerdict:
     """Classify the equation on the reals: stable iff lambda < 0 or
     lambda > 1/(1-alpha), equivalently p(alpha) < 0 with K nonzero."""
-    return _r(alpha)(lam)
+    return _r(alpha).classify(lam)
+
+
+def _p_column(lams: Sequence[float], alpha: float) -> list[float]:
+    """p(alpha) of each lambda, NaN where K is within BOUNDARY_TOL of 0:
+    the classifiers' own expression, so bit for bit their p_alpha."""
+    abar = 1.0 - alpha
+    return [math.nan if -BOUNDARY_TOL <= (K := 1.0 - lam * abar) <= BOUNDARY_TOL
+            else lam * alpha / K for lam in lams]
+
+
+def _classify_block(lams: Sequence[float], ps: Sequence[float], alpha: float,
+                    h: float | None) -> tuple[list[StabilityVerdict], list[int]]:
+    """Classify the lambdas of one (alpha, h) block (h None: the reals) by
+    their cells; ``ps`` is ``_p_column(lams, alpha)``.
+
+    Returns the distinct verdicts and, per row, the index of its verdict.
+    A row inside a band, or with p NaN, gets its own ``classify_hz`` /
+    ``classify_r`` call; every other row shares the verdict of the first
+    row of its cell.  Every field but p_alpha is the row's own; its
+    p_alpha is ``ps[row]``.
+    """
+    block = _r(alpha) if h is None else _hz(alpha, h)
+    lam_bands, p_bands = block.lam_bands, block.p_bands
+    verdicts: list[StabilityVerdict] = []
+    index: list[int] = []
+    cells: dict[tuple[int, int] | None, int] = {}
+    for lam, p in zip(lams, ps):
+        i, j = bisect(lam_bands, lam), bisect(p_bands, p)
+        key = None if i & 1 or j & 1 or p != p else (i, j)
+        k = cells.get(key)
+        if k is None:
+            k = len(verdicts)
+            # by module-level name, so that a wrapper of the classifier
+            # sees every call
+            verdicts.append(classify_r(lam, alpha) if h is None
+                            else classify_hz(lam, alpha, h))
+            if key is not None:
+                cells[key] = k
+        index.append(k)
+    return verdicts, index
 
 
 def estimate_sc(ts: TimeScale, p: float, horizon: float | None = None) -> float:

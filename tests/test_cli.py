@@ -4,11 +4,12 @@ import math
 import os
 import subprocess
 import sys
+from bisect import bisect
 
 import pytest
 
 import cfts
-from cfts import cli
+from cfts import cli, stability
 from cfts.cli import VERDICT_HEADER, _fmt, main, verdict_row
 from cfts.config import ConfigError, build_rhs, build_signal, parse_config
 from cfts.signals import Sampled
@@ -425,29 +426,69 @@ class TestStabilityCommand:
                 line.split(",")[3] for line in want.splitlines()[1:]}
         assert {"-0", "0"} <= {line.split(",")[5] for line in want.splitlines()[1:]}
 
-    def test_one_classifier_call_per_written_row(self, monkeypatch, capsys):
-        # the per-row classifiers are the only classification path, which
-        # is what a per-call count of them measures
+    def test_classifier_called_only_at_bands_and_new_cells(self, monkeypatch, capsys):
+        # a row outside every band takes the verdict of its cell's first
+        # row; rows inside a band (or with p NaN) are classified one by one
         calls = []
 
         def counted(name):
-            real = getattr(cli, name)
+            real = getattr(stability, name)
 
             def classify(*args):
                 calls.append(name)
                 return real(*args)
             return classify
 
-        for name in ("classify_hz", "classify_r"):
-            monkeypatch.setattr(cli, name, counted(name))
-        for flags, name in ((["--h", "0.5,1,3"], "classify_hz"),
-                            (["--continuous"], "classify_r")):
-            calls.clear()
-            assert main(["stability", "--lambda=-6:6:13", "--alpha", "0.5,0.75",
-                         *flags]) == 0
+        lams = [float(k) for k in range(-6, 7)]
+        for flags, steps, name in ((["--h", "0.5,1,3"], (0.5, 1.0, 3.0), "classify_hz"),
+                                   (["--continuous"], (None,), "classify_r")):
+            want, cells, band_rows = [], set(), 0
+            for h in steps:
+                for a in (0.5, 0.75):
+                    block = stability._r(a) if h is None else stability._hz(a, h)
+                    for lam, p in zip(lams, stability._p_column(lams, a)):
+                        v = classify_r(lam, a) if h is None else classify_hz(lam, a, h)
+                        want.append(",".join(map(_fmt, verdict_row(lam, a, h, v))))
+                        i, j = bisect(block.lam_bands, lam), bisect(block.p_bands, p)
+                        if i % 2 or j % 2 or math.isnan(p):
+                            band_rows += 1
+                        else:
+                            cells.add((a, h, i, j))
+            with monkeypatch.context() as m:
+                for mod in (cli, stability):
+                    for fn in ("classify_hz", "classify_r"):
+                        m.setattr(mod, fn, counted(fn))
+                calls.clear()
+                assert main(["stability", "--lambda=-6:6:13", "--alpha", "0.5,0.75",
+                             *flags]) == 0
             rows = capsys.readouterr().out.splitlines()[1:]
-            assert len(rows) == len(calls) == 13 * 2 * (3 if name == "classify_hz" else 1)
+            assert rows == want
+            assert len(calls) <= len(cells) + band_rows and len(calls) < len(rows)
             assert set(calls) == {name}
+
+    def test_table_bytes_are_pinned(self, capsys):
+        # sha256 of the tables written by one classifier call per row
+        for argv, digest in (
+                (["--lambda=-5:6:4000", "--alpha", "0.1:0.9:9", "--h", "0.25,0.5,1,2"],
+                 "b6b890fe08c9f9a469fb19785745c52b67b6205c2af7f6a797a6f529d25a3f22"),
+                (["--lambda=-10:10:2001", "--alpha", "0.1:0.9:9", "--continuous"],
+                 "37fdad1b03029737144be00c4076d42e9c9e0abb7ebcf5fabbe78a815b59a191")):
+            assert main(["stability", *argv]) == 0
+            assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
+
+    def test_closed_stdout_pipe_exits_1_silently(self):
+        # Python's recipe for EPIPE: stdout goes to the null device, exit 1
+        env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(cfts.__file__)))
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "cfts.cli", "stability", "--lambda=-5:6:4000",
+             "--alpha", "0.1:0.9:9", "--h", "0.25,0.5,1,2"],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+        assert proc.stdout.readline().startswith(b"lambda,alpha,h,")
+        proc.stdout.close()
+        err = proc.stderr.read()
+        proc.stderr.close()
+        assert proc.wait() == 1
+        assert err == b""
 
     def test_error_in_a_later_block_leaves_no_output(self, tmp_path, capsys):
         out = tmp_path / "table.csv"

@@ -147,6 +147,13 @@ class TestPicard:
         with pytest.raises(MaxIterationsExceeded):
             picard_solve(p, tol=1e-15, max_iter=2)
 
+    def test_iteration_budget_below_one_is_a_domain_error(self):
+        p = _prob(TimeScale.integers(0, 2), lambda t, x: 0.45 * x + 1.0, 0.45,
+                  0, 2, 0.0, 0.5)
+        for max_iter in (0, -1):
+            with pytest.raises(DomainError, match="max_iter must be >= 1"):
+                picard_solve(p, max_iter=max_iter)
+
     def test_apriori_bound_holds(self):
         # Banach: |x_n - x*| <= q^n / (1-q) * |x_1 - x_0| for the global
         # iteration, with the march (solved to round-off) standing for x*

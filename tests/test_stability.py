@@ -1,5 +1,7 @@
+import contextlib
 import math
 import random
+from bisect import bisect
 
 import pytest
 from hypothesis import given, settings
@@ -18,6 +20,9 @@ from cfts.stability import (
     REGRESSIVITY_VIOLATION,
     STABLE,
     UNSTABLE,
+    _bands,
+    _classify_block,
+    _p_column,
     classify_hz,
     classify_r,
     estimate_sc,
@@ -350,3 +355,98 @@ def test_p_alpha_does_not_depend_on_the_scale(data):
     assert va.p_alpha.hex() == vb.p_alpha.hex() == classify_r(lam, alpha).p_alpha.hex()
     if lam == pole:
         assert math.isnan(va.p_alpha)
+
+
+# -- the block path: a sweep block classified by its cells must give every
+# lambda the verdict of the per-row classifier, at every edge
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.one_of(st.floats(-1e3, 1e3), st.sampled_from([0.0, -1e-300, -2e-300]),
+                          st.floats(allow_nan=False)), max_size=4))
+def test_bands_are_disjoint_and_cover_each_cut(cuts):
+    # parity reads "inside a band" only on a strictly increasing list
+    flat = _bands(*cuts)
+    assert len(flat) % 2 == 0 and all(a < b for a, b in zip(flat, flat[1:]))
+    for c in cuts:
+        if math.isfinite(c):
+            w = 1e3 * BOUNDARY_TOL * max(1.0, abs(c))
+            for x in (c - 0.99 * w, c, c + 0.99 * w):
+                assert not math.isfinite(x) or bisect(flat, x) % 2 == 1
+    # h = 1e300 puts the p-cuts 0, -1/h and -2/h in one band
+    assert len(_bands(0.0, -2.0 / 1e300, -1.0 / 1e300)) == 2
+
+
+def _edge_lams(alpha, h, exponents):
+    """Lambdas at every anchor: anchor * (1 +- 10**e) for each e, and the
+    lambdas on each side of the BOUNDARY_TOL band and of its 1e3 margin,
+    in lambda and (mapped back through p) in p, walked ulp by ulp."""
+    abar = 1.0 - alpha
+    anchors = _anchors(alpha, h)
+    out = [sign * 10.0 ** e if c == 0.0 else c * (1.0 + sign * 10.0 ** e)
+           for c in anchors for e in exponents for sign in (-1.0, 1.0)]
+    edges = [c + sign * m * BOUNDARY_TOL * max(1.0, abs(c))
+             for c in anchors for m in (1.0, 1e3) for sign in (-1.0, 1.0)]
+    # lambda = p / (alpha + p*abar) inverts p = lambda*alpha/K
+    for c in (0.0, -2.0 / h, -1.0 / h):
+        for m in (1.0, 1e3):
+            for sign in (-1.0, 1.0):
+                p = c + sign * m * BOUNDARY_TOL * max(1.0, abs(c))
+                with contextlib.suppress(ZeroDivisionError):
+                    edges.append(p / (alpha + p * abar))
+    out += [x + k * math.ulp(x) for x in edges if math.isfinite(x) for k in range(-8, 9)]
+    return [lam for lam in out if math.isfinite(lam)]
+
+
+def _assert_block_matches_rows(lams, alpha, h):
+    ps = _p_column(lams, alpha)
+    for step in ([h] if alpha == 1.0 else [h, None]):
+        verdicts, index = _classify_block(lams, ps, alpha, step)
+        for lam, p, k in zip(lams, ps, index):
+            v = verdicts[k]
+            want = _oracle_hz(lam, alpha, step) if step else _oracle_r(lam, alpha)
+            assert _fields(*want) == _fields(v.status, v.mechanism, p, v.boundary_values,
+                                             v.branch), (lam, alpha, step)
+
+
+def _edge_pairs(rng):
+    """(alpha, h) pairs: random, near alpha = 1, at extreme steps and at or
+    near the branch switch A = 0."""
+    alpha = rng.choice([rng.uniform(1e-3, 1.0), rng.uniform(0.999, 1.0), 1.0])
+    h = rng.choice([rng.uniform(1e-3, 4.0), 10.0 ** rng.uniform(300.0, 308.0),
+                    10.0 ** rng.uniform(-323.0, -300.0)])
+    yield alpha, h
+    if alpha < 1.0:
+        switch = 2.0 * (1.0 - alpha) / alpha
+        yield alpha, switch
+        yield alpha, switch * (1.0 + rng.choice([-1.0, 1.0]) * 10.0 ** rng.uniform(-13.0, -6.0))
+
+
+def test_block_cells_match_the_per_row_classifier_at_every_edge():
+    rng = random.Random(13)
+    for _ in range(150):
+        for alpha, h in _edge_pairs(rng):
+            lams = _edge_lams(alpha, h, [rng.uniform(-13.0, -6.0) for _ in range(8)])
+            lams += [rng.uniform(-50.0, 50.0) for _ in range(40)]
+            rng.shuffle(lams)
+            _assert_block_matches_rows(lams, alpha, h)
+    for alpha, h in ((1.0, 5e-324), (0.5, 2.0), (0.9, 1e300), (0.3, 1e308)):
+        _assert_block_matches_rows(_edge_lams(alpha, h, range(-13, -5)), alpha, h)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_block_cells_match_the_per_row_classifier(data):
+    alpha = data.draw(_alphas)
+    h = data.draw(_steps)
+    if alpha < 1.0 and data.draw(st.booleans()):
+        h = 2.0 * (1.0 - alpha) / alpha * (1.0 + data.draw(_offsets))
+    anchors = _anchors(alpha, h)
+    near = st.builds(lambda c, sign, e: sign * 10.0 ** e if c == 0.0
+                     else c * (1.0 + sign * 10.0 ** e),
+                     st.sampled_from(anchors), st.sampled_from([-1.0, 1.0]),
+                     st.floats(-13.0, -6.0))
+    lams = data.draw(st.lists(st.one_of(near, st.floats(-50.0, 50.0)), min_size=1,
+                              max_size=40))
+    _assert_block_matches_rows([lam for lam in lams if math.isfinite(lam)] or [0.0],
+                               alpha, h)
