@@ -7,6 +7,7 @@ values on a mesh and interpolates linearly inside continuous intervals.
 
 from __future__ import annotations
 
+import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from typing import Callable, Union
@@ -45,9 +46,17 @@ class Sampled:
             raise ValueError("mesh must be strictly increasing")
 
     def index_of(self, t: float) -> int:
-        i = bisect_left(self.mesh, t - _atol(t))
-        if i < len(self.mesh) and abs(self.mesh[i] - t) <= _atol(t):
+        """The index of mesh point t: an exact match, else the nearer of
+        its two neighbours (the lower on a tie) if within ``_atol(t)``.
+        No non-finite t is a mesh point."""
+        mesh = self.mesh
+        i = bisect_left(mesh, t)
+        if i < len(mesh) and mesh[i] == t:
             return i
+        j = min((j for j in (i - 1, i) if 0 <= j < len(mesh)),
+                key=lambda j: abs(mesh[j] - t), default=None)
+        if j is not None and abs(mesh[j] - t) <= _atol(t) < math.inf:
+            return j
         raise PointNotInTimeScale(f"t={t!r} is not a mesh point")
 
     def between(self, lo: float, hi: float) -> tuple[float, ...]:

@@ -31,7 +31,10 @@ reaches (|x - y| <= BOUNDARY_TOL * max(1, |y|) or BOUNDARY_TOL * |x|,
 at its last line, ``edge < p < 0``: the p-region fixes the status and the
 lambda-region the bounds.  Such a row takes the verdict of the first row
 of its (lambda-region, p-region) cell; every row inside a band, or with
-p NaN, is classified on its own.
+p NaN, is classified on its own.  The rows are walked in runs of one
+cell, and only the row that leaves the previous row's cell is looked up,
+so a sorted sweep pays a few lookups per block and any other order stays
+exact.
 """
 
 from __future__ import annotations
@@ -245,24 +248,40 @@ def _classify_block(lams: Sequence[float], ps: Sequence[float], alpha: float,
     ``classify_r`` call; every other row shares the verdict of the first
     row of its cell.  Every field but p_alpha is the row's own; its
     p_alpha is ``ps[row]``.
+
+    The rows are walked in runs: while a row lies in the bounds of the
+    previous row's cell it joins that cell with two chained comparisons,
+    and only the row that ends a run is keyed by ``bisect``.  The cell
+    bounds are the bands' ends padded with -inf and +inf, and
+    ``lo <= x < hi`` is the bisect-right test, so a run never crosses a
+    cell edge whatever the row order; a NaN p fails it and is keyed.
     """
     block = _r(alpha) if h is None else _hz(alpha, h)
     lam_bands, p_bands = block.lam_bands, block.p_bands
+    lb = [-math.inf, *lam_bands, math.inf]
+    pb = [-math.inf, *p_bands, math.inf]
     verdicts: list[StabilityVerdict] = []
     index: list[int] = []
-    cells: dict[tuple[int, int] | None, int] = {}
+    # (i, j) -> (verdict index, lambda bounds, p bounds) of the cell
+    cells: dict[tuple[int, int] | None, tuple[int, float, float, float, float]] = {}
+    nan = math.nan
+    k, lo, hi, plo, phi = -1, nan, nan, nan, nan
     for lam, p in zip(lams, ps):
-        i, j = bisect(lam_bands, lam), bisect(p_bands, p)
-        key = None if i & 1 or j & 1 or p != p else (i, j)
-        k = cells.get(key)
-        if k is None:
-            k = len(verdicts)
-            # by module-level name, so that a wrapper of the classifier
-            # sees every call
-            verdicts.append(classify_r(lam, alpha) if h is None
-                            else classify_hz(lam, alpha, h))
-            if key is not None:
-                cells[key] = k
+        if not (lo <= lam < hi and plo <= p < phi):
+            i, j = bisect(lam_bands, lam), bisect(p_bands, p)
+            key = None if i & 1 or j & 1 or p != p else (i, j)
+            cell = cells.get(key)
+            if cell is None:
+                # a band row gets NaN bounds, so that the next row is keyed
+                cell = ((len(verdicts), lb[i], lb[i + 1], pb[j], pb[j + 1]) if key
+                        else (len(verdicts), nan, nan, nan, nan))
+                # by module-level name, so that a wrapper of the classifier
+                # sees every call
+                verdicts.append(classify_r(lam, alpha) if h is None
+                                else classify_hz(lam, alpha, h))
+                if key:
+                    cells[key] = cell
+            k, lo, hi, plo, phi = cell
         index.append(k)
     return verdicts, index
 

@@ -101,13 +101,18 @@ Segment = Union[ContinuousInterval, UniformGrid, IsolatedPoint]
 
 
 def _member(s: Segment, t: float) -> float | None:
-    """The point of segment s that t coincides with, or None."""
+    """The point of segment s that t coincides with, or None.
+
+    A t near an interval's end snaps to that end by the same ``_close``
+    test as a lattice point, and any other t must lie inside [a, b], so
+    the result is always a point of s.
+    """
     if isinstance(s, ContinuousInterval):
-        if s.a - _atol(t) <= t <= s.b + _atol(t):
-            if _close(t, s.a):
-                return s.a
-            if _close(t, s.b):
-                return s.b
+        if _close(t, s.a):
+            return s.a
+        if _close(t, s.b):
+            return s.b
+        if s.a <= t <= s.b:
             return t
     elif isinstance(s, UniformGrid):
         k = round((t - s.start) / s.step)

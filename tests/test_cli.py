@@ -2,6 +2,7 @@ import csv
 import hashlib
 import math
 import os
+import random
 import subprocess
 import sys
 from bisect import bisect
@@ -474,6 +475,20 @@ class TestStabilityCommand:
                 (["--lambda=-10:10:2001", "--alpha", "0.1:0.9:9", "--continuous"],
                  "37fdad1b03029737144be00c4076d42e9c9e0abb7ebcf5fabbe78a815b59a191")):
             assert main(["stability", *argv]) == 0
+            assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
+
+    def test_table_bytes_do_not_depend_on_the_row_order(self, capsys):
+        # sha256 of a descending sweep and of the same lambdas shuffled into
+        # a comma list, taken when every row was keyed on its own
+        lams = cli._parse_sweep("6:-5:4000", "--lambda")
+        random.Random(14).shuffle(lams)
+        for spec, digest in (
+                ("6:-5:4000",
+                 "3e2e644a8cd14a2b033bd2f3e7c99eb51a4f6df4f14a449ae1c155dec2a0740e"),
+                (",".join(map(repr, lams)),
+                 "e2d3081d29c657a21659e1f808aea979e1640e3ecdea22812d2caf054af66965")):
+            assert main(["stability", f"--lambda={spec}", "--alpha", "0.1:0.9:9",
+                         "--h", "0.25,0.5,1,2"]) == 0
             assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
 
     def test_closed_stdout_pipe_exits_1_silently(self):

@@ -2,7 +2,7 @@ import math
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cfts.calculus import exp_ts
@@ -291,6 +291,10 @@ def canonical_meshes(draw):
     return ts, mesh[:draw(st.integers(1, 300))]
 
 
+_NEAR_TOUCHING = TimeScale.of(ContinuousInterval(22.693337696701725, 24.587868946701725),
+                              ContinuousInterval(24.587868946726314, 27.587868946726314))
+
+
 def _hexes(xs):
     return [float.hex(x) for x in xs]
 
@@ -298,6 +302,10 @@ def _hexes(xs):
 class TestClassicalResidualMesh:
     @settings(max_examples=120, deadline=None)
     @given(canonical_meshes(), st.floats(-2.0, 2.0), st.booleans())
+    # two intervals 2.4588e-11 apart, just over the tolerance at 24.6: the
+    # second one's start must be its own point, with rho at the first's end
+    @example((_NEAR_TOUCHING, _NEAR_TOUCHING.mesh(22.693337696701725, 27.587868946726314,
+                                                  1.0)), 0.0, False)
     def test_equals_the_single_point_form(self, ts_mesh, lam, sampled_u):
         ts, mesh = ts_mesh
         x = Sampled(mesh, tuple(math.cos(0.7 * k) * (k + 1) for k in range(len(mesh))))

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cfts import stability
 from cfts.errors import DomainError, NonRegressiveParameter
 from cfts.fractional import CFOrder
 from cfts.linear import LinearCFProblem, solve_linear_trajectory
@@ -450,3 +451,65 @@ def test_block_cells_match_the_per_row_classifier(data):
                               max_size=40))
     _assert_block_matches_rows([lam for lam in lams if math.isfinite(lam)] or [0.0],
                                alpha, h)
+
+
+def _sweep(lo, hi, n):
+    step = (hi - lo) / (n - 1)
+    return [lo + k * step for k in range(n)]
+
+
+def _count_bisects(monkeypatch):
+    calls = []
+
+    def counted(a, x):
+        calls.append(x)
+        return bisect(a, x)
+    monkeypatch.setattr(stability, "bisect", counted)
+    return calls
+
+
+def test_sorted_sweep_keys_only_the_row_that_ends_a_run(monkeypatch):
+    # a row inside its predecessor's cell joins the run without a lookup;
+    # keying every row on its own made 2 * 4000 bisect calls per block
+    lams = _sweep(-5.0, 6.0, 4000)
+    ps = _p_column(lams, 0.5)
+    for h in (1.0, None):
+        block = stability._r(0.5) if h is None else stability._hz(0.5, h)
+        keys = [None if i % 2 or j % 2 or math.isnan(p) else (i, j)
+                for lam, p in zip(lams, ps)
+                for i, j in [(bisect(block.lam_bands, lam), bisect(block.p_bands, p))]]
+        runs = sum(1 for r, key in enumerate(keys)
+                   if key is not None and (r == 0 or keys[r - 1] != key))
+        band_rows = keys.count(None)
+        calls = _count_bisects(monkeypatch)
+        got = _classify_block(lams, ps, 0.5, h)
+        assert len(calls) <= 2 * (runs + band_rows) and len(calls) < 100, (h, len(calls))
+        monkeypatch.undo()
+        assert got == _classify_block(lams, ps, 0.5, h)
+
+
+def test_stability_sweep_table_keys_a_few_hundred_rows(monkeypatch):
+    # the 144,000-row benchmark table (4000 lambdas x 9 alphas x 4 steps)
+    # made 288,000 bisect calls when every row was keyed
+    off = random.Random(11).uniform(0.0, 0.01)
+    lams = _sweep(-5.0 + off, 6.0 + off, 4000)
+    calls = _count_bisects(monkeypatch)
+    for alpha in _sweep(0.1, 0.9, 9):
+        ps = _p_column(lams, alpha)
+        for h in (0.25, 0.5, 1.0, 2.0):
+            _classify_block(lams, ps, alpha, h)
+    assert len(calls) <= 400
+
+
+def test_shuffled_block_matches_the_per_row_classifier(monkeypatch):
+    # an unsorted list takes the same walk, in shorter runs
+    lams = _sweep(-5.0, 6.0, 4000)
+    random.Random(7).shuffle(lams)
+    for alpha, h in ((0.5, 1.0), (0.5, None), (0.9, 0.25), (1.0, 2.0)):
+        ps = _p_column(lams, alpha)
+        calls = _count_bisects(monkeypatch)
+        verdicts, index = _classify_block(lams, ps, alpha, h)
+        assert len(calls) <= 2 * len(lams)
+        for lam, p, k in zip(lams, ps, index):
+            want = classify_r(lam, alpha) if h is None else classify_hz(lam, alpha, h)
+            assert _verdict_fields(verdicts[k]._replace(p_alpha=p)) == _verdict_fields(want)

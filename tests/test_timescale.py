@@ -283,16 +283,17 @@ def _probe_points(ts, frac):
 
 
 def _scan_locate(ts, t):
-    """Reference lookup: the linear scan over every segment in order."""
+    """Reference lookup: the linear scan over every segment in order.  A t
+    close to an interval's end snaps to it; any other t must lie inside."""
     for i, s in enumerate(ts.segments):
         if t < s.lo - _atol(t):
             break
         if isinstance(s, ContinuousInterval):
-            if s.a - _atol(t) <= t <= s.b + _atol(t):
-                if _close(t, s.a):
-                    return i, s.a
-                if _close(t, s.b):
-                    return i, s.b
+            if _close(t, s.a):
+                return i, s.a
+            if _close(t, s.b):
+                return i, s.b
+            if s.a <= t <= s.b:
                 return i, t
         elif isinstance(s, UniformGrid):
             k = round((t - s.start) / s.step)
@@ -350,6 +351,66 @@ def test_locate_matches_the_linear_scan(ts, extra):
             continue
         i, got = ts._locate(t)
         assert (i, float.hex(got)) == (want[0], float.hex(want[1])), t
+        assert _is_point_of(ts.segments[i], got), t
+    # a value that is exactly a point of segment k is located in segment k
+    for k, s in enumerate(ts.segments):
+        for e in _points_of(s):
+            assert ts._locate(e) == (k, e)
+
+
+def _points_of(s):
+    if isinstance(s, ContinuousInterval):
+        return [s.a, 0.5 * (s.a + s.b), s.b]
+    if isinstance(s, UniformGrid):
+        return [s.point(k) for k in range(s.count)]
+    return [s.t]
+
+
+def _is_point_of(s, x):
+    if isinstance(s, ContinuousInterval):
+        return s.a <= x <= s.b
+    return x in _points_of(s)
+
+
+@settings(max_examples=150, deadline=None)
+@given(hybrid_scales(), st.one_of(st.none(), st.floats(0.05, 1.0)))
+def test_neighbours_agree_with_the_cells_at_every_mesh_point(ts, max_step):
+    mesh = ts.mesh(ts.t_min, ts.t_max, max_step)
+    for lo, hi, mu in ts.cells(mesh):
+        assert ts._neighbours(lo)[1:] == (lo, hi if mu else lo)
+        assert ts._neighbours(hi)[:2] == (lo if mu else hi, hi)
+
+
+class TestNearTouchingSegments:
+    # two intervals 2.4588e-11 apart, just over the tolerance at 24.6
+    A, B = 24.587868946701725, 24.587868946726314
+    TS = TimeScale.of(ContinuousInterval(22.693337696701725, A),
+                      ContinuousInterval(B, 27.587868946726314))
+
+    def test_snap_never_leaves_the_scale(self):
+        ts = TimeScale.interval(0.0, 1.0)
+        with pytest.raises(PointNotInTimeScale):
+            ts.snap(1.000000000001)  # |t - 1| is just over the tolerance
+        assert ts.snap(1.0000000000005) == 1.0
+        assert ts.snap(-5e-13) == 0.0
+
+    def test_each_end_is_located_in_its_own_interval(self):
+        assert len(self.TS.segments) == 2
+        assert self.TS._locate(self.A) == (0, self.A)
+        assert self.TS._locate(self.B) == (1, self.B)
+        assert self.TS._neighbours(self.B) == (self.A, self.B, self.B)
+        assert self.TS._neighbours(self.A) == (self.A, self.A, self.B)
+
+    def test_index_of_finds_both_ends(self):
+        sig = Sampled((self.A, self.B, 25.0), (0.0, 1.0, 2.0))
+        assert [sig.index_of(t) for t in (self.A, self.B, 25.0)] == [0, 1, 2]
+        # off a mesh point within tolerance: the nearer neighbour
+        assert sig.index_of(self.B + 1e-12) == 1
+        assert sig.index_of(self.A - 1e-12) == 0
+        assert sig.index_of(25.0 + 1e-11) == 2
+        for t in (25.0 + 1e-9, 26.0, math.inf, -math.inf, math.nan):
+            with pytest.raises(PointNotInTimeScale):
+                sig.index_of(t)
 
 
 def _snap_then_index_value(sig, ts, t):
