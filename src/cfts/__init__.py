@@ -8,7 +8,7 @@ equation; exponential-stability classification; and a fixed-point solver
 for nonlinear initial value problems.
 """
 
-from .calculus import delta_derivative, delta_integral, exp_ts, is_regressive
+from .calculus import delta_derivative, delta_integral, exp_ts, is_regressive, kernel_march
 from .errors import (
     CftsError,
     DenseDerivativeUnavailable,
@@ -100,6 +100,7 @@ __all__ = [
     "estimate_sc",
     "exp_ts",
     "is_regressive",
+    "kernel_march",
     "max_contractive_window",
     "parse_timescale",
     "picard_solve",

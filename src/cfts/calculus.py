@@ -1,15 +1,17 @@
 """Base calculus on a time scale: delta derivative, delta (Cauchy) integral,
-regressivity, and the time-scale exponential for a constant coefficient.
+regressivity, the time-scale exponential for a constant coefficient, and
+the kernel march that carries every exponential-kernel operator.
 
 Scattered points use exact difference quotients and weighted sums; dense
 runs fall back to ordinary calculus (adaptive quadrature, numerical
 differentiation with Richardson extrapolation).  The quadrature is the
 adaptive Gauss--Kronrod G7/K15 rule of QUADPACK (``qk15`` with a global
 queue of subintervals; Piessens, de Doncker-Kapenga, Ueberhuber & Kahaner,
-QUADPACK, Springer 1983), written against the standard library.  The
-integral and the exponential walk the cells of ``TimeScale.cells``;
-``_u_run_integral``, the kernel-weighted integral over one dense cell, also
-serves the linear solvers.
+QUADPACK, Springer 1983), written against the standard library.
+``kernel_march`` is the one walk over ``TimeScale.cells`` that carries an
+exponential kernel: the exponential, the delta integral (rate 0), both
+fractional operators and the linear closed form run on it, with
+``_u_run_integral`` as the one quadrature of a dense cell.
 """
 
 from __future__ import annotations
@@ -17,10 +19,11 @@ from __future__ import annotations
 import heapq
 import math
 import sys
-from typing import Callable, Sequence
+from typing import Callable, Iterator, Sequence
 
 from .errors import (
     DenseDerivativeUnavailable,
+    DomainError,
     NonRegressiveParameter,
     OutsideKappaDomain,
     QuadratureNonConvergence,
@@ -189,31 +192,78 @@ def delta_derivative(ts: TimeScale, f: Signal, t: float,
     return _richardson_derivative(f.func, t, seg.lo, seg.hi, tol)
 
 
+def kernel_march(ts: TimeScale, mesh: Sequence[float], rate: float,
+                 term: Callable[[float, float, float], float]
+                 ) -> Iterator[tuple[float, float]]:
+    """Walk the cells of an increasing canonical mesh once and yield
+    (e_rate(t, mesh[0]), S(t)) at each mesh point t after the first.
+
+    Each cell steps (e, S) <- (grow*e, grow*S + term(lo, hi, mu)) with
+    grow = e_rate(hi, lo): 1 + mu*rate on a scattered cell, exp(rate*(hi - lo))
+    on a dense one.  For a term that integrates g(tau) e_rate(hi, sigma(tau))
+    over the cell, the semigroup identity (Bohner & Peterson, Dynamic
+    Equations on Time Scales, 2001, Thm 2.36) makes S(t) the convolution
+    integral_{mesh[0]}^t g(tau) e_rate(t, sigma(tau)) dtau, in O(n) for the
+    whole mesh.  The term checks regressivity where a caller needs it.
+    """
+    e, S = 1.0, 0.0
+    k = 1  # next mesh index to emit
+    for lo, hi, mu in ts.cells(mesh):
+        grow = 1.0 + mu * rate if mu else math.exp(rate * (hi - lo))
+        e *= grow
+        S = grow * S + term(lo, hi, mu)
+        if hi == mesh[k]:
+            yield e, S
+            k += 1
+
+
+def _convolved(ts: TimeScale, u: Signal, p: float, tol: float | None):
+    """The kernel-march term that convolves u with e_p: mu * u(lo) on a
+    scattered cell, ``_u_run_integral`` on a dense one."""
+    return lambda lo, hi, mu: (mu * value(u, ts, lo) if mu
+                               else _u_run_integral(ts, u, lo, hi, p, tol))
+
+
 def delta_integral(ts: TimeScale, f: Signal, a: float, b: float,
                    tol: float | None = None) -> float:
-    """Cauchy (delta) integral of f over [a, b), a <= b.
+    """Cauchy (delta) integral of f over [a, b), a <= b: the kernel march at
+    rate 0.  Scattered points contribute mu(t) * f(t); dense runs are
+    integrated by adaptive quadrature (Closure) or by the trapezoid rule on
+    the stored mesh (Sampled).  Zero when a == b."""
+    a, b = ts.snap(a), ts.snap(b)
+    if b < a:
+        raise DomainError(f"need a <= b, got a={a}, b={b}")
+    return next(kernel_march(ts, (a, b), 0.0, _convolved(ts, f, 0.0, tol)), (1.0, 0.0))[1]
 
-    Scattered points contribute mu(t) * f(t); dense runs are integrated by
-    adaptive quadrature (Closure) or by the trapezoid rule on the stored
-    mesh (Sampled).  Additive over segment junctions; zero when a == b.
+
+def _kernel_breakpoints(lo: float, hi: float, slope: float) -> list[float] | None:
+    """Interior breakpoints aiding quadrature of a sharply peaked kernel.
+
+    ``slope`` is the log-derivative of the weight in tau: positive means the
+    weight peaks at the right end of the run.  With w = 1/|slope| the points
+    hi - w*2^k (lo + w*2^k for a left peak), k = 0, 1, ..., that lie inside
+    the run make every panel about as wide as its distance from the peak,
+    so no panel of the 15-point rule misses the kernel's tail mass.
     """
-    tol = QUAD_TOL if tol is None else tol
-    total = 0.0
-    for lo, hi, mu in ts.cells((ts.snap(a), ts.snap(b))):
-        if mu:
-            total += mu * value(f, ts, lo)
-        else:
-            total += _u_run_integral(ts, f, lo, hi, 0.0, tol)
-    return total
+    if abs(slope) * (hi - lo) < 20.0:
+        return None
+    w = 1.0 / abs(slope)
+    pts = []
+    while w < hi - lo:
+        pts.append(hi - w if slope > 0 else lo + w)
+        w *= 2.0
+    return pts
 
 
 def _u_run_integral(ts: TimeScale, u: Signal, lo: float, hi: float, p: float,
-                    tol: float) -> float:
+                    tol: float | None) -> float:
     """integral_lo^hi u(tau) exp(p*(hi - tau)) dtau over one dense cell:
-    quadrature for a Closure, the midpoint-weighted trapezoid rule on the
+    quadrature to ``tol`` (default QUAD_TOL) split at the kernel
+    breakpoints for a Closure, the midpoint-weighted trapezoid rule on the
     stored mesh for a Sampled signal."""
     if isinstance(u, Closure):
-        return _quad(lambda tau: u.func(tau) * math.exp(p * (hi - tau)), lo, hi, tol)
+        return _quad(lambda tau: u.func(tau) * math.exp(p * (hi - tau)), lo, hi,
+                     QUAD_TOL if tol is None else tol, _kernel_breakpoints(lo, hi, -p))
     pts = [lo, *u.between(lo, hi), hi]
     vals = [value(u, ts, t) for t in pts]
     total = 0.0
@@ -232,26 +282,18 @@ def _kills(mu: float, p: float) -> bool:
 
 
 def exp_ts(ts: TimeScale, p: float, t: float, t0: float) -> float:
-    """Time-scale exponential e_p(t, t0) for a constant p.
-
-    Forward values are the product of (1 + mu*p) over scattered points of
-    [t0, t) times exp(p * dense length); t < t0 is evaluated through the
-    reciprocal.  On a step-h grid this is (1 + h*p) ** ((t - t0)/h).
-    """
-    t = ts.snap(t)
-    t0 = ts.snap(t0)
+    """Time-scale exponential e_p(t, t0) for a constant p: the kernel march's
+    product of 1 + mu*p over the scattered points of [t0, t) and exp(p*len)
+    over its dense runs; t < t0 goes through the reciprocal.  On a step-h
+    grid this is (1 + h*p) ** ((t - t0)/h)."""
+    t, t0 = ts.snap(t), ts.snap(t0)
     if t < t0:
         return 1.0 / exp_ts(ts, p, t0, t)
-    prod = 1.0
-    dense = 0.0
-    for lo, hi, mu in ts.cells((t0, t)):
-        if mu:
-            if _kills(mu, p):
-                raise NonRegressiveParameter(
-                    f"1 + mu*p vanishes at t={lo!r} (mu={mu!r}, p={p!r})")
-            prod *= 1.0 + mu * p
-        else:
-            dense += hi - lo
-    if dense:
-        prod *= math.exp(p * dense)
-    return prod
+
+    def term(lo, hi, mu):
+        if _kills(mu, p):
+            raise NonRegressiveParameter(
+                f"1 + mu*p vanishes at t={lo!r} (mu={mu!r}, p={p!r})")
+        return 0.0
+
+    return next(kernel_march(ts, (t0, t), p, term), (1.0, 0.0))[0]

@@ -7,13 +7,10 @@ alpha/(alpha - 1) <= 0`` and the left-sided derivative of f over [a, t] is
 
 the Caputo--Fabrizio construction carried to an arbitrary time scale: the
 first-order delta derivative convolved with the time-scale exponential.
-By the semigroup identity e(t1, s) = e(t1, t0) e(t0, s) (Bohner & Peterson,
-Dynamic Equations on Time Scales, 2001, Thm 2.36) its values at every
-point of a mesh come from one forward march over the cells of
-``TimeScale.cells`` (``cf_delta_left_prefix``); the single-point
-``cf_delta_left`` is that march on the mesh (a, t), so one walk serves the
-column and the single point.  The right-sided operator walks the cells of
-[t, b] and needs reciprocal kernel values.  The fractional integral of
+Both operators are ``calculus.kernel_march`` at rate alpha_bar over the
+increments of f: its S at each mesh point is the left operator
+(``cf_delta_left_prefix``; ``cf_delta_left`` is the march on (a, t)), and
+S(b) / e(b, t) over [t, b] is the right one.  The fractional integral of
 order alpha is the weighted average (1-alpha)/M * u(t) + alpha/M *
 integral_0^t u.
 """
@@ -24,7 +21,13 @@ import math
 from dataclasses import dataclass
 from typing import Sequence
 
-from .calculus import QUAD_TOL, _kills, _quad, delta_derivative, delta_integral
+from .calculus import (
+    _kills,
+    _u_run_integral,
+    delta_derivative,
+    delta_integral,
+    kernel_march,
+)
 from .errors import DomainError, NonRegressiveKernel
 from .signals import Closure, Signal, value
 from .timescale import TimeScale, UniformGrid
@@ -58,75 +61,54 @@ class CFOrder:
         return self.m_alpha / (1.0 - self.alpha)
 
 
-def _kernel_breakpoints(lo: float, hi: float, slope: float) -> list[float] | None:
-    """Interior breakpoints aiding quadrature of a sharply peaked kernel.
-
-    ``slope`` is the log-derivative of the weight in tau: positive means the
-    weight peaks at the right end of the run.  With w = 1/|slope| the points
-    hi - w*2^k (lo + w*2^k for a left peak), k = 0, 1, ..., that lie inside
-    the run make every panel about as wide as its distance from the peak,
-    so no panel of the 15-point rule misses the kernel's tail mass.
-    """
-    if abs(slope) * (hi - lo) < 20.0:
-        return None
-    w = 1.0 / abs(slope)
-    pts = []
-    while w < hi - lo:
-        pts.append(hi - w if slope > 0 else lo + w)
-        w *= 2.0
-    return pts
-
-
 def _dense_weighted(ts: TimeScale, f: Signal, lo: float, hi: float, rate: float,
-                    anchor: float, tol: float) -> float:
-    """integral_lo^hi f^delta(tau) * exp(rate * (anchor - tau)) dtau on a dense run.
-
-    Closures without an exact derivative are handled by integration by
-    parts, which avoids numerical differentiation under the integral.
-    """
+                    tol: float | None) -> float:
+    """integral_lo^hi f^delta(tau) exp(rate*(hi - tau)) dtau on a dense cell: a
+    Closure through ``_u_run_integral`` (its exact derivative, else f by parts,
+    which avoids numerical differentiation under the integral), a Sampled
+    signal as its exact cell increments weighted by the midpoint kernel."""
     if isinstance(f, Closure) and f.derivative is not None:
-        fn = lambda tau: f.derivative(tau) * math.exp(rate * (anchor - tau))
-        return _quad(fn, lo, hi, tol, points=_kernel_breakpoints(lo, hi, -rate))
+        return _u_run_integral(ts, Closure(f.derivative), lo, hi, rate, tol)
     if isinstance(f, Closure):
-        bdry = (f.func(hi) * math.exp(rate * (anchor - hi))
-                - f.func(lo) * math.exp(rate * (anchor - lo)))
-        fn = lambda tau: f.func(tau) * math.exp(rate * (anchor - tau))
-        return bdry + rate * _quad(fn, lo, hi, tol,
-                                   points=_kernel_breakpoints(lo, hi, -rate))
-    # Sampled: exact cell increments weighted by the midpoint kernel value.
+        return (f.func(hi) - f.func(lo) * math.exp(rate * (hi - lo))
+                + rate * _u_run_integral(ts, f, lo, hi, rate, tol))
     pts = [lo, *f.between(lo, hi), hi]
     total = 0.0
     for p0, p1 in zip(pts, pts[1:]):
         dv = value(f, ts, p1) - value(f, ts, p0)
-        total += dv * math.exp(rate * (anchor - 0.5 * (p0 + p1)))
+        total += dv * math.exp(rate * (hi - 0.5 * (p0 + p1)))
     return total
 
 
-def cf_delta_left_prefix(ts: TimeScale, f: Signal, mesh: Sequence[float],
-                         order: CFOrder, tol: float | None = None) -> list[float]:
-    """Left-sided fractional delta derivative of f over [mesh[0], t] at
-    every point t of an increasing mesh, in one forward march.
+def _increments(ts: TimeScale, f: Signal, rate: float, tol: float | None,
+                grid_hi: float):
+    """The kernel-march term of f^delta: mu * f^delta(lo) on a scattered cell,
+    ``_dense_weighted`` on a dense one.  Raises NonRegressiveKernel past
+    ``grid_hi`` once a factor 1 + mu*rate has vanished in the span walked."""
+    killed = False
+    f_lo = None  # f(lo) when the previous cell ended at lo on a scattered step
 
-    With S(t) = integral_a^t f^delta(tau) e_{alpha_bar}(t, sigma(tau)) dtau,
-    the semigroup identity e(s1, tau) = e(s1, s0) e(s0, tau) gives
-    S(s1) = e(s1, s0) S(s0) + (contribution of [s0, s1)), where the factor
-    is 1 + mu*alpha_bar over a scattered point and exp(alpha_bar*len) over
-    a dense piece.  The cells of [mesh[0], mesh[-1]) are walked once and
-    front_factor * S is emitted at each mesh point, so a whole column costs
-    O(n) instead of O(n^2).
+    def term(lo, hi, mu):
+        nonlocal killed, f_lo
+        killed = killed or _kills(mu, rate)
+        if killed and hi > grid_hi:
+            raise NonRegressiveKernel(
+                f"kernel factor 1 + mu*alpha_bar vanishes before t={hi!r} "
+                f"(graininess (1-alpha)/alpha = {-1.0 / rate:g})")
+        if not mu:
+            f_lo = None
+            return _dense_weighted(ts, f, lo, hi, rate, tol)
+        f_hi = value(f, ts, hi)
+        fd = (f_hi - (value(f, ts, lo) if f_lo is None else f_lo)) / mu
+        f_lo = f_hi
+        return mu * fd
 
-    At alpha = 0 the values are exactly f(t) - f(a).  A degenerate kernel
-    (1 + mu*alpha_bar = 0) is allowed while the span [a, t) lies in one
-    uniform grid, with the usual 0**0 = 1 convention; NonRegressiveKernel
-    is raised at the first mesh point whose hybrid span contains one,
-    instead of silently discarding the history before it.
-    """
-    tol = QUAD_TOL if tol is None else tol
-    mesh = [ts.snap(t) for t in mesh]
-    if not mesh:
-        raise DomainError("the mesh needs at least one point")
-    if any(t1 <= t0 for t0, t1 in zip(mesh, mesh[1:])):
-        raise DomainError("the mesh must be strictly increasing")
+    return term
+
+
+def _left_march(ts: TimeScale, f: Signal, mesh: Sequence[float], order: CFOrder,
+                tol: float | None) -> list[float]:
+    """``cf_delta_left_prefix`` on canonical mesh points, read as they are."""
     a = mesh[0]
     if order.alpha == 0.0:
         f_a = value(f, ts, a)
@@ -135,85 +117,70 @@ def cf_delta_left_prefix(ts: TimeScale, f: Signal, mesh: Sequence[float],
     seg = ts.segments[ts._locate(a)[0]]
     # [a, t] lies in one uniform grid iff t <= grid_hi
     grid_hi = seg.hi if isinstance(seg, UniformGrid) else a
-    out = [0.0]
-    k = 1           # next mesh index to emit
-    S = 0.0         # S(hi) of the last cell walked
-    killed = False  # a degenerate kernel factor lies in [a, hi)
-    f_lo = None     # f(lo) when the previous cell ended at lo on a scattered step
-    for lo, hi, mu in ts.cells(mesh):
-        if mu:
-            killed = killed or _kills(mu, rate)
-            f_hi = value(f, ts, hi)
-            fd = (f_hi - (value(f, ts, lo) if f_lo is None else f_lo)) / mu
-            S = (1.0 + mu * rate) * S + mu * fd
-            f_lo = f_hi
-        else:
-            S = (math.exp(rate * (hi - lo)) * S
-                 + _dense_weighted(ts, f, lo, hi, rate, hi, tol))
-            f_lo = None
-        if hi == mesh[k]:
-            if killed and hi > grid_hi:
-                raise NonRegressiveKernel(
-                    f"graininess equals (1-alpha)/alpha = "
-                    f"{(1 - order.alpha) / order.alpha:g} inside a hybrid span")
-            out.append(front * S)
-            k += 1
-    return out
+    term = _increments(ts, f, rate, tol, grid_hi)
+    return [0.0, *(front * S for _, S in kernel_march(ts, mesh, rate, term))]
+
+
+def cf_delta_left_prefix(ts: TimeScale, f: Signal, mesh: Sequence[float],
+                         order: CFOrder, tol: float | None = None) -> list[float]:
+    """Left-sided fractional delta derivative of f over [mesh[0], t] at
+    every point t of an increasing mesh (snapped to the scale first), from
+    one ``kernel_march`` at rate alpha_bar: front_factor * S(t), so a whole
+    column costs O(n) instead of O(n^2).
+
+    At alpha = 0 the values are exactly f(t) - f(a).  A degenerate kernel
+    (1 + mu*alpha_bar = 0) is allowed while the span [a, t) lies in one
+    uniform grid, with the usual 0**0 = 1 convention; NonRegressiveKernel
+    is raised when the mesh reaches past it into a hybrid span, instead of
+    silently discarding the history before it.
+    """
+    mesh = [ts.snap(t) for t in mesh]
+    if not mesh:
+        raise DomainError("the mesh needs at least one point")
+    if any(t1 <= t0 for t0, t1 in zip(mesh, mesh[1:])):
+        raise DomainError("the mesh must be strictly increasing")
+    return _left_march(ts, f, mesh, order, tol)
 
 
 def cf_delta_left(ts: TimeScale, f: Signal, a: float, t: float, order: CFOrder,
                   tol: float | None = None) -> float:
-    """Left-sided fractional delta derivative of f over [a, t].
+    """Left-sided fractional delta derivative of f over [a, t]: the last
+    value of ``cf_delta_left_prefix`` on the mesh (a, t).
 
     At alpha = 0 this is exactly f(t) - f(a).  On a step-h grid it is the
     weighted backward sum
 
         (M/(1-alpha)) * sum_k  h f^delta(kh) (1 + h*alpha_bar)^(t/h - k - 1),
 
-    with the usual 0**0 = 1 convention, so a degenerate kernel
-    (1 + h*alpha_bar = 0) is allowed there; on hybrid spans a graininess
-    equal to (1-alpha)/alpha raises NonRegressiveKernel instead of silently
-    discarding the history before it.  This is the last value of
-    ``cf_delta_left_prefix`` on the mesh (a, t).
+    with the usual 0**0 = 1 convention for a degenerate kernel.
     """
-    a = ts.snap(a)
-    t = ts.snap(t)
+    a, t = ts.snap(a), ts.snap(t)
     if t < a:
         raise DomainError(f"need a <= t, got a={a}, t={t}")
-    return cf_delta_left_prefix(ts, f, [a, t] if t > a else [a], order, tol)[-1]
+    return _left_march(ts, f, [a, t] if t > a else [a], order, tol)[-1]
 
 
 def cf_delta_right(ts: TimeScale, f: Signal, t: float, b: float, order: CFOrder,
                    tol: float | None = None) -> float:
     """Right-sided fractional delta derivative of f over [t, b].
 
-    At alpha = 0 this is exactly f(b) - f(t).  The kernel is evaluated
-    backwards, e(t, sigma(tau)) = 1/e(sigma(tau), t), so every factor
-    1 + mu*alpha_bar must be strictly nonzero.
+    At alpha = 0 this is exactly f(b) - f(t).  Otherwise it is
+    front_factor * S(b) / e(b, t) of the kernel march over [t, b], since
+    e(t, sigma(tau)) = e(b, sigma(tau)) / e(b, t); so every factor
+    1 + mu*alpha_bar must be nonzero (else NonRegressiveKernel), and a
+    value outside the float range raises DomainError.
     """
-    tol = QUAD_TOL if tol is None else tol
-    t = ts.snap(t)
-    b = ts.snap(b)
+    t, b = ts.snap(t), ts.snap(b)
     if b < t:
         raise DomainError(f"need t <= b, got t={t}, b={b}")
     if order.alpha == 0.0:
         return value(f, ts, b) - value(f, ts, t)
-    rate = order.alpha_bar
-    total = 0.0
-    accum = 1.0  # e_{alpha_bar}(pos, t), marching pos from t up to b
-    for lo, hi, mu in ts.cells((t, b)):
-        if mu:
-            if _kills(mu, rate):
-                raise NonRegressiveKernel(
-                    f"kernel factor 1 + mu*alpha_bar vanishes at tau={lo!r}")
-            accum *= 1.0 + mu * rate
-            fd = (value(f, ts, lo + mu) - value(f, ts, lo)) / mu
-            total += mu * fd / accum
-        else:
-            # kernel at tau in the run: exp(rate*(lo - tau)) / accum
-            total += _dense_weighted(ts, f, lo, hi, rate, lo, tol) / accum
-            accum *= math.exp(rate * (hi - lo))
-    return order.front_factor * total
+    term = _increments(ts, f, order.alpha_bar, tol, -math.inf)
+    e, S = next(kernel_march(ts, (t, b), order.alpha_bar, term), (1.0, 0.0))
+    x = order.front_factor * S / e if e else math.nan
+    if not math.isfinite(x):
+        raise DomainError(f"the right operator leaves the float range on [{t}, {b}]")
+    return x
 
 
 def cf_integral(ts: TimeScale, u: Signal, t: float, order: CFOrder,

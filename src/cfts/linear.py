@@ -9,16 +9,17 @@ p = lambda*alpha/K regressive, the solution is
     x(t) = x0 - (1/K)(1 - e_p(t,0)) x0 + ((1-alpha)/K)(u(t) - u(0))
            + (alpha/K^2) * integral_0^t e_p(t, sigma(tau)) u(tau) dtau.
 
-One forward walk over the cells of ``TimeScale.cells`` carries e_p(t, 0)
-and the weighted integral by their one-step recurrences (O(n) instead of
-O(n^2) resummation); it serves both the trajectory on a mesh and the
-single-point ``solve_linear``, which is that walk on the mesh (0, t).
+One ``calculus.kernel_march`` at rate p carries e_p(t, 0) and the
+weighted integral (O(n) instead of O(n^2) resummation); it serves both
+the trajectory on a mesh and the single-point ``solve_linear``, which is
+that march on the mesh (0, t).
 
 The limiting order alpha = 1 degenerates to the classical delta equation
-x^delta = lambda*x + u, provided here as ``classical_trajectory``; its
-defect over a sampled trajectory is ``classical_residual_mesh`` (one walk
-over the cells, the stored values read by index), with the single-point
-``classical_residual`` kept for any signal.
+x^delta = lambda*x + u, provided here as ``classical_trajectory`` (its own
+walk keeps the explicit step x + mu*(lambda*x + u) that the figures pin);
+its defect over a sampled trajectory is ``classical_residual_mesh`` (one
+walk over the cells reading slopes, the stored values read by index), with
+the single-point ``classical_residual`` kept for any signal.
 
 Note: the closed form solves the equation pointwise exactly when the data
 satisfy the start-up compatibility u(0) + lambda*x0 = 0 (the operator of
@@ -36,9 +37,9 @@ import math
 from dataclasses import dataclass
 from typing import Sequence
 
-from .calculus import QUAD_TOL, _kills, _u_run_integral, delta_derivative
+from .calculus import _convolved, _kills, _u_run_integral, delta_derivative, kernel_march
 from .errors import DomainError, NotRegressive
-from .fractional import CFOrder, cf_delta_left_prefix
+from .fractional import CFOrder, _left_march
 from .signals import Sampled, Signal, as_signal, value
 from .timescale import TimeScale
 
@@ -74,37 +75,26 @@ class LinearCFProblem:
         return self.lam * self.order.alpha / self.k_alpha
 
 
-def _march(prob: LinearCFProblem, mesh: Sequence[float], tol: float) -> list[float]:
+def _march(prob: LinearCFProblem, mesh: Sequence[float],
+           tol: float | None) -> list[float]:
     """The closed form at every point of an increasing canonical mesh that
-    starts at 0, from one forward walk over its cells."""
+    starts at 0, from one kernel march at rate p over its cells."""
     ts, p, u, x0 = prob.ts, prob.p_alpha, prob.u, prob.x0
     K, alpha = prob.k_alpha, prob.order.alpha
     u_0 = value(u, ts, 0.0)
     xs = [x0]
-    k = 1           # next mesh index to emit
-    ep = 1.0        # e_p(hi, 0)
-    integral = 0.0  # integral_0^hi e_p(hi, sigma(tau)) u(tau) dtau
-    for lo, hi, mu in ts.cells(mesh):
-        if mu:
-            integral = (1.0 + mu * p) * integral + mu * value(u, ts, lo)
-            ep *= 1.0 + mu * p
-        else:
-            grow = math.exp(p * (hi - lo))
-            integral = grow * integral + _u_run_integral(ts, u, lo, hi, p, tol)
-            ep *= grow
-        if hi == mesh[k]:
-            u_t = value(u, ts, hi)
-            xs.append(x0
-                      - (1.0 - ep) * x0 / K
-                      + (1.0 - alpha) * (u_t - u_0) / K
-                      + alpha * integral / (K * K))
-            k += 1
+    march = kernel_march(ts, mesh, p, _convolved(ts, u, p, tol))
+    # ep = e_p(t, 0), integral = integral_0^t e_p(t, sigma(tau)) u(tau) dtau
+    for t, (ep, integral) in zip(mesh[1:], march):
+        xs.append(x0
+                  - (1.0 - ep) * x0 / K
+                  + (1.0 - alpha) * (value(u, ts, t) - u_0) / K
+                  + alpha * integral / (K * K))
     return xs
 
 
 def solve_linear(prob: LinearCFProblem, t: float, tol: float | None = None) -> float:
     """Evaluate the closed-form solution at a single point t >= 0."""
-    tol = QUAD_TOL if tol is None else tol
     ts = prob.ts
     t = ts.snap(t)
     if t < 0.0:
@@ -133,7 +123,6 @@ def solve_linear_trajectory(prob: LinearCFProblem, horizon: float | None = None,
                             steps: int | None = None, max_step: float | None = None,
                             tol: float | None = None) -> Sampled:
     """Solution sampled on the mesh of [0, horizon] via one-step recurrences."""
-    tol = QUAD_TOL if tol is None else tol
     mesh = _resolve_mesh(prob.ts, horizon, steps, max_step)
     return Sampled(mesh, tuple(_march(prob, mesh, tol)))
 
@@ -144,9 +133,9 @@ def residual_linear_mesh(prob: LinearCFProblem, x: Signal, mesh: Sequence[float]
     increasing mesh starting at 0, from one forward kernel march.  The mesh
     points are canonical (as ``TimeScale.mesh`` returns them)."""
     ts = prob.ts
-    if mesh and ts.snap(mesh[0]) != ts.snap(0.0):
+    if not mesh or ts.snap(mesh[0]) != ts.snap(0.0):
         raise DomainError("the residual mesh must start at t = 0")
-    lhs = cf_delta_left_prefix(ts, x, mesh, prob.order, tol)
+    lhs = _left_march(ts, x, mesh, prob.order, tol)
     return [d - prob.lam * value(x, ts, t) - value(prob.u, ts, t)
             for d, t in zip(lhs, mesh)]
 
@@ -169,7 +158,6 @@ def classical_trajectory(ts: TimeScale, lam: float, u, x0: float,
     dense steps use the variation-of-constants formula with quadrature.
     This is the alpha = 1 limit of the fractional equation.
     """
-    tol = QUAD_TOL if tol is None else tol
     u = as_signal(u)
     mesh = _resolve_mesh(ts, horizon, steps, None)
     xs = [x0]

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 from .errors import DomainError, MaxIterationsExceeded, NotContractive
-from .fractional import CFOrder, cf_delta_left_prefix
+from .fractional import CFOrder, _left_march
 from .signals import Sampled, Signal, value
 from .timescale import TimeScale
 
@@ -144,9 +144,9 @@ def residual_nonlinear_mesh(prob: NonlinearCFProblem, x: Signal,
     mesh starting at a, from one forward kernel march.  The mesh points are
     canonical (as ``TimeScale.mesh`` returns them)."""
     ts = prob.ts
-    if mesh and ts.snap(mesh[0]) != prob.a:
+    if not mesh or ts.snap(mesh[0]) != prob.a:
         raise DomainError(f"the residual mesh must start at a = {prob.a}")
-    lhs = cf_delta_left_prefix(ts, x, mesh, prob.order, tol)
+    lhs = _left_march(ts, x, mesh, prob.order, tol)
     return [d - prob.rhs(t, value(x, ts, t)) for d, t in zip(lhs, mesh)]
 
 

@@ -9,6 +9,7 @@ from cfts.calculus import (
     _WG,
     _WGK,
     _XGK,
+    _kernel_breakpoints,
     _qk15,
     _quad,
     delta_derivative,
@@ -18,11 +19,11 @@ from cfts.calculus import (
 )
 from cfts.errors import (
     DenseDerivativeUnavailable,
+    DomainError,
     NonRegressiveParameter,
     OutsideKappaDomain,
     QuadratureNonConvergence,
 )
-from cfts.fractional import _kernel_breakpoints
 from cfts.signals import Closure, Sampled, constant, sample
 from cfts.timescale import ContinuousInterval, IsolatedPoint, TimeScale, UniformGrid
 
@@ -104,6 +105,10 @@ class TestDeltaIntegral:
 
     def test_empty_range(self):
         assert delta_integral(Z, SQUARE, 5.0, 5.0) == 0.0
+
+    def test_reversed_range_is_a_domain_error(self):
+        with pytest.raises(DomainError):
+            delta_integral(TimeScale.integers(0, 10), constant(1.0), 5.0, 2.0)
 
     def test_sampled_trapezoid(self):
         ts = TimeScale.interval(0.0, 1.0)

@@ -330,6 +330,21 @@ class TestSimulate:
                                capsys, 5) == "quadrature did not converge"
         assert not out.exists()
 
+    def test_steep_classical_kernel_on_a_long_run(self, tmp_path):
+        # lambda = -1e5 on dense cells 300/256 long: the weight
+        # exp(lambda*(hi - tau)) is 1e-5 wide, which a 15-point panel misses
+        # unless the run is split at the kernel breakpoints
+        cfg = tmp_path / "steep.config"
+        cfg.write_text("[scenario steep]\nsegment = interval 0 300\nequation = linear\n"
+                       "lambda = -100000\nu = sin 1 0.05 0.3\nx0 = 0.000002955202\n"
+                       "alpha = 1 0.5\nhorizon = time 300\n"
+                       "outputs = trajectory residuals\n")
+        assert main(["simulate", str(cfg), "--out", str(tmp_path)]) == 0
+        rows = _read(tmp_path / "steep_alpha1.csv")
+        (row,) = [r for r in rows if r["t"] == "1.171875"]
+        assert f"{float(row['x']):.4e}" == "3.5096e-06"
+        assert max(abs(float(r["residual"])) for r in rows[:-1]) < 1e-5
+
     def test_sample_table_forcing(self, tmp_path):
         us = [1.0, 0.5, -0.25, 2.0, 1.5]
         cfg = tmp_path / "tab.config"

@@ -1,4 +1,5 @@
 import ast
+import cmath
 import math
 import random
 from pathlib import Path
@@ -20,7 +21,7 @@ from cfts.fractional import (
 )
 from cfts.linear import LinearCFProblem, residual_linear_mesh, solve_linear_trajectory
 from cfts.signals import Closure, Sampled, constant
-from cfts.timescale import ContinuousInterval, TimeScale, UniformGrid
+from cfts.timescale import ContinuousInterval, IsolatedPoint, TimeScale, UniformGrid
 
 from .oracles import oracle_cf_delta_discrete, oracle_cf_delta_interval, oracle_cf_integral_discrete
 from .test_timescale import timescales
@@ -301,6 +302,26 @@ def test_only_timescale_knows_the_atom_format():
     assert leaks == []
 
 
+def test_one_kernel_march():
+    # every exponential-kernel recurrence runs on calculus.kernel_march; the
+    # walks allowed besides it step differently: the classical explicit
+    # step (pinned figure bytes), the implicit Picard map, the slopes of
+    # the classical residual and the log-sum of the stability average
+    allowed = {"kernel_march", "classical_trajectory", "classical_residual_mesh",
+               "picard_solve", "estimate_sc"}
+    package = Path(cfts.__file__).parent
+    walks = []
+    for path in sorted(package.glob("*.py")):
+        if path.name == "timescale.py":
+            continue
+        for top in ast.parse(path.read_text()).body:
+            owner = getattr(top, "name", None)
+            walks += [f"{path.name}:{node.lineno} in {owner}" for node in ast.walk(top)
+                      if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                      and node.func.attr == "cells" and owner not in allowed]
+    assert walks == []
+
+
 class TestRightDerivative:
     def test_alpha_zero(self):
         f = Closure(lambda t: t * t)
@@ -329,6 +350,28 @@ class TestRightDerivative:
         want = total / (1.0 - alpha)
         got = cf_delta_right(Z, f, float(t), float(b), CFOrder(alpha))
         assert got == pytest.approx(want, rel=1e-12)
+
+    def test_hybrid_against_reciprocal_kernel_sum(self):
+        # [0, 1], then the steps 1 -> 1.5 -> 1.75 -> 2 -> 3: the right
+        # operator weights each increment of f by 1/e(sigma(tau), 0)
+        ts = TimeScale.of(ContinuousInterval(0.0, 1.0), UniformGrid(1.5, 0.25, 3),
+                          IsolatedPoint(3.0))
+        alpha = 0.3
+        abar = alpha / (alpha - 1.0)
+        z = complex(-abar, 1.0)  # integral_0^1 cos(tau) exp(-abar*tau) dtau
+        total, e = ((cmath.exp(z) - 1.0) / z).real, math.exp(abar)
+        for lo, hi in ((1.0, 1.5), (1.5, 1.75), (1.75, 2.0), (2.0, 3.0)):
+            e *= 1.0 + (hi - lo) * abar
+            total += (math.sin(hi) - math.sin(lo)) / e
+        got = cf_delta_right(ts, Closure(math.sin, derivative=math.cos), 0.0, 3.0,
+                             CFOrder(alpha))
+        assert got == pytest.approx(total / (1.0 - alpha), rel=1e-12)
+
+    def test_kernel_out_of_float_range(self):
+        # e(100, 0) = exp(-900) underflows to 0: the weights 1/e overflow
+        with pytest.raises(DomainError):
+            cf_delta_right(TimeScale.interval(0.0, 100.0),
+                           Closure(math.sin, derivative=math.cos), 0.0, 100.0, CFOrder(0.9))
 
 
 class TestFractionalIntegral:

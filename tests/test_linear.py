@@ -138,6 +138,22 @@ class TestTrajectory:
             assert traj.values[k] == pytest.approx(
                 solve_linear(prob, traj.mesh[k]), rel=1e-12)
 
+    def test_steep_kernel_single_point_matches_the_trajectory(self):
+        # K = 1 - lambda*(1-alpha) = -2.5e-4, so p = lambda*alpha/K is about
+        # -4001: the kernel is 2.5e-4 wide on a run of length 4, and x(4) is
+        # the difference of two terms near 1513.6
+        lam, alpha, t = 2.0005, 0.5, 4.0
+        prob = _mk(TimeScale.interval(0.0, t), lam,
+                   Closure(math.sin, derivative=math.cos), 0.0, alpha)
+        x_t = solve_linear(prob, t)
+        assert x_t == pytest.approx(solve_linear_trajectory(prob, horizon=t).values[-1],
+                                    rel=1e-9)
+        K, p = prob.k_alpha, prob.p_alpha
+        # integral_0^t exp(p*(t - tau)) sin(tau) dtau in closed form
+        conv = (math.exp(p * t) - p * math.sin(t) - math.cos(t)) / (1.0 + p * p)
+        assert x_t == pytest.approx((1.0 - alpha) * math.sin(t) / K + alpha * conv / K**2,
+                                    rel=1e-8)
+
     def test_sampled_forcing_on_a_dense_run(self):
         # the midpoint-weighted trapezoid rule on the stored mesh is O(h^2)
         # away from the quadrature of the same forcing
@@ -351,7 +367,7 @@ class TestClassicalResidualMesh:
                             lambda self, t: calls.append(t) or locate(self, t))
         residual_linear_mesh(prob, traj, traj.mesh)
         classical_residual_mesh(ts, -0.5, u, classical)
-        assert len(calls) <= n + 8  # the column snaps each point once
+        assert len(calls) <= 8  # canonical mesh points are read, never snapped
         calls.clear()
         assert [value(traj, ts, t) for t in traj.mesh] == list(traj.values)
         assert calls == []

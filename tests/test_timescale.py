@@ -307,7 +307,8 @@ def _scan_locate(ts, t):
 @st.composite
 def hybrid_scales(draw):
     """Up to 40 segments, one-point grids included, each touching the last
-    exactly, within tolerance, just beyond it, or after a gap."""
+    exactly, within tolerance, at the tolerance plus a few ulps (which the
+    sum with pos rounds to either side of it), or after a gap."""
     pos = draw(st.floats(-1e4, 1e4))
     segs = []
     for _ in range(draw(st.integers(1, 40))):
@@ -323,7 +324,9 @@ def hybrid_scales(draw):
             pos += step * (count - 1)
         else:
             segs.append(IsolatedPoint(pos))
-        pos += draw(st.one_of(st.just(0.0), st.floats(0.0, 3.0 * _atol(pos)),
+        tol = _atol(pos)
+        pos += draw(st.one_of(st.just(0.0), st.floats(0.0, 3.0 * tol),
+                              st.integers(1, 4).map(lambda k: tol * (1 + k * 2**-52)),
                               st.floats(1e-3, 2.0)))
     return TimeScale.of(*segs)
 
