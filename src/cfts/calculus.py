@@ -192,6 +192,12 @@ def delta_derivative(ts: TimeScale, f: Signal, t: float,
     return _richardson_derivative(f.func, t, seg.lo, seg.hi, tol)
 
 
+def _growth(rate: float, lo: float, hi: float, mu: float) -> float:
+    """e_rate(hi, lo) of one cell: 1 + mu*rate if it is scattered,
+    exp(rate*(hi - lo)) if it is dense."""
+    return 1.0 + mu * rate if mu else math.exp(rate * (hi - lo))
+
+
 def kernel_march(ts: TimeScale, mesh: Sequence[float], rate: float,
                  term: Callable[[float, float, float], float]
                  ) -> Iterator[tuple[float, float]]:
@@ -205,16 +211,28 @@ def kernel_march(ts: TimeScale, mesh: Sequence[float], rate: float,
     Equations on Time Scales, 2001, Thm 2.36) makes S(t) the convolution
     integral_{mesh[0]}^t g(tau) e_rate(t, sigma(tau)) dtau, in O(n) for the
     whole mesh.  The term checks regressivity where a caller needs it.
+    A mesh point that is off the scale or repeated is never reached by a
+    cell; the walk then ends in DomainError instead of a short column.
     """
     e, S = 1.0, 0.0
     k = 1  # next mesh index to emit
     for lo, hi, mu in ts.cells(mesh):
-        grow = 1.0 + mu * rate if mu else math.exp(rate * (hi - lo))
+        grow = _growth(rate, lo, hi, mu)
         e *= grow
         S = grow * S + term(lo, hi, mu)
         if hi == mesh[k]:
             yield e, S
             k += 1
+    if k < len(mesh):
+        raise DomainError(f"mesh point {mesh[k]!r} is not a canonical point of "
+                          f"the scale after {mesh[k - 1]!r}")
+
+
+def _march_to(ts: TimeScale, a: float, b: float, rate: float,
+              term: Callable[[float, float, float], float]) -> tuple[float, float]:
+    """(e_rate(b, a), S(b)) of the kernel march over the canonical span
+    [a, b]; (1, 0) when a == b."""
+    return next(kernel_march(ts, (a, b), rate, term)) if b > a else (1.0, 0.0)
 
 
 def _convolved(ts: TimeScale, u: Signal, p: float, tol: float | None):
@@ -233,7 +251,7 @@ def delta_integral(ts: TimeScale, f: Signal, a: float, b: float,
     a, b = ts.snap(a), ts.snap(b)
     if b < a:
         raise DomainError(f"need a <= b, got a={a}, b={b}")
-    return next(kernel_march(ts, (a, b), 0.0, _convolved(ts, f, 0.0, tol)), (1.0, 0.0))[1]
+    return _march_to(ts, a, b, 0.0, _convolved(ts, f, 0.0, tol))[1]
 
 
 def _kernel_breakpoints(lo: float, hi: float, slope: float) -> list[float] | None:
@@ -296,4 +314,4 @@ def exp_ts(ts: TimeScale, p: float, t: float, t0: float) -> float:
                 f"1 + mu*p vanishes at t={lo!r} (mu={mu!r}, p={p!r})")
         return 0.0
 
-    return next(kernel_march(ts, (t0, t), p, term), (1.0, 0.0))[0]
+    return _march_to(ts, t0, t, p, term)[0]

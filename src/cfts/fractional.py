@@ -7,12 +7,12 @@ alpha/(alpha - 1) <= 0`` and the left-sided derivative of f over [a, t] is
 
 the Caputo--Fabrizio construction carried to an arbitrary time scale: the
 first-order delta derivative convolved with the time-scale exponential.
-Both operators are ``calculus.kernel_march`` at rate alpha_bar over the
-increments of f: its S at each mesh point is the left operator
+Both operators are ``calculus.kernel_march`` over the increments of f: at
+rate alpha_bar its S at each mesh point is the left operator
 (``cf_delta_left_prefix``; ``cf_delta_left`` is the march on (a, t)), and
-S(b) / e(b, t) over [t, b] is the right one.  The fractional integral of
-order alpha is the weighted average (1-alpha)/M * u(t) + alpha/M *
-integral_0^t u.
+at rate 0, with each increment divided by the running weight e(hi, t), its
+S(b) over [t, b] is the right one.  The fractional integral of order alpha
+is the weighted average (1-alpha)/M * u(t) + alpha/M * integral_0^t u.
 """
 
 from __future__ import annotations
@@ -22,7 +22,9 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .calculus import (
+    _growth,
     _kills,
+    _march_to,
     _u_run_integral,
     delta_derivative,
     delta_integral,
@@ -108,7 +110,13 @@ def _increments(ts: TimeScale, f: Signal, rate: float, tol: float | None,
 
 def _left_march(ts: TimeScale, f: Signal, mesh: Sequence[float], order: CFOrder,
                 tol: float | None) -> list[float]:
-    """``cf_delta_left_prefix`` on canonical mesh points, read as they are."""
+    """``cf_delta_left_prefix`` on canonical mesh points, read as they are.
+    A mesh that is empty, not strictly increasing, or has a point off the
+    scale raises DomainError."""
+    if not mesh:
+        raise DomainError("the mesh needs at least one point")
+    if any(t1 <= t0 for t0, t1 in zip(mesh, mesh[1:])):
+        raise DomainError("the mesh must be strictly increasing")
     a = mesh[0]
     if order.alpha == 0.0:
         f_a = value(f, ts, a)
@@ -134,12 +142,7 @@ def cf_delta_left_prefix(ts: TimeScale, f: Signal, mesh: Sequence[float],
     is raised when the mesh reaches past it into a hybrid span, instead of
     silently discarding the history before it.
     """
-    mesh = [ts.snap(t) for t in mesh]
-    if not mesh:
-        raise DomainError("the mesh needs at least one point")
-    if any(t1 <= t0 for t0, t1 in zip(mesh, mesh[1:])):
-        raise DomainError("the mesh must be strictly increasing")
-    return _left_march(ts, f, mesh, order, tol)
+    return _left_march(ts, f, [ts.snap(t) for t in mesh], order, tol)
 
 
 def cf_delta_left(ts: TimeScale, f: Signal, a: float, t: float, order: CFOrder,
@@ -164,20 +167,31 @@ def cf_delta_right(ts: TimeScale, f: Signal, t: float, b: float, order: CFOrder,
                    tol: float | None = None) -> float:
     """Right-sided fractional delta derivative of f over [t, b].
 
-    At alpha = 0 this is exactly f(b) - f(t).  Otherwise it is
-    front_factor * S(b) / e(b, t) of the kernel march over [t, b], since
-    e(t, sigma(tau)) = e(b, sigma(tau)) / e(b, t); so every factor
-    1 + mu*alpha_bar must be nonzero (else NonRegressiveKernel), and a
-    value outside the float range raises DomainError.
+    At alpha = 0 this is exactly f(b) - f(t).  Otherwise the kernel is
+    evaluated backwards, e(t, sigma(tau)) = 1/e(sigma(tau), t): the kernel
+    march at rate 0 sums each cell's increment over the running weight
+    e(hi, t), so every factor 1 + mu*alpha_bar must be nonzero (else
+    NonRegressiveKernel), and a value outside the float range raises
+    DomainError.
     """
     t, b = ts.snap(t), ts.snap(b)
     if b < t:
         raise DomainError(f"need t <= b, got t={t}, b={b}")
     if order.alpha == 0.0:
         return value(f, ts, b) - value(f, ts, t)
-    term = _increments(ts, f, order.alpha_bar, tol, -math.inf)
-    e, S = next(kernel_march(ts, (t, b), order.alpha_bar, term), (1.0, 0.0))
-    x = order.front_factor * S / e if e else math.nan
+    rate = order.alpha_bar
+    increment = _increments(ts, f, rate, tol, -math.inf)
+    accum = 1.0  # e_{alpha_bar}(hi, t) of the cell last walked
+
+    def term(lo, hi, mu):
+        nonlocal accum
+        d = increment(lo, hi, mu)
+        accum *= _growth(rate, lo, hi, mu)
+        if not accum:
+            raise DomainError(f"the kernel weight 1/e(tau, {t}) overflows at tau={hi!r}")
+        return d / accum
+
+    x = order.front_factor * _march_to(ts, t, b, 0.0, term)[1]
     if not math.isfinite(x):
         raise DomainError(f"the right operator leaves the float range on [{t}, {b}]")
     return x

@@ -99,7 +99,8 @@ def solve_linear(prob: LinearCFProblem, t: float, tol: float | None = None) -> f
     t = ts.snap(t)
     if t < 0.0:
         raise DomainError("the solution formula is for t >= 0")
-    return _march(prob, (ts.snap(0.0), t), tol)[-1]
+    zero = ts.snap(0.0)
+    return _march(prob, (zero, t) if t > zero else (zero,), tol)[-1]
 
 
 def _resolve_mesh(ts: TimeScale, horizon: float | None, steps: int | None,

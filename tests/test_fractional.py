@@ -367,6 +367,16 @@ class TestRightDerivative:
                              CFOrder(alpha))
         assert got == pytest.approx(total / (1.0 - alpha), rel=1e-12)
 
+    def test_divergent_kernel_on_a_long_span(self):
+        # base 1 + 0.5*alpha_bar = -3.5: e(b, t) overflows past about 570
+        # steps, while the weights 1/e(sigma(tau), t) decay
+        ts = TimeScale.grid(0.0, 0.5, 2001)
+        f = Closure(math.sin, derivative=math.cos)
+        assert cf_delta_right(ts, f, 0.0, 1000.0, CFOrder(0.9)) == -1.1124664847666588
+        z = TimeScale.integers(0, 1000)  # base -8
+        assert cf_delta_right(z, f, 0.0, 1000.0, CFOrder(0.9)) == pytest.approx(
+            cf_delta_right(z, f, 0.0, 100.0, CFOrder(0.9)), rel=1e-12)
+
     def test_kernel_out_of_float_range(self):
         # e(100, 0) = exp(-900) underflows to 0: the weights 1/e overflow
         with pytest.raises(DomainError):

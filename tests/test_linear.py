@@ -270,6 +270,21 @@ class TestResidual:
         assert max(abs(r) for r in column) < 1e-13
         assert residual_linear_mesh(prob, traj, [0.0, 0.2]) == column[:3:2]
 
+    def test_mesh_off_the_scale_is_a_domain_error(self):
+        # the residual mesh is read as canonical, not snapped: a point just
+        # off the scale, a repeated point or a step back must not give a
+        # short column
+        prob = _mk(Z, 0.2, RAMP, -5.0, 0.5)
+        traj = solve_linear_trajectory(prob, steps=4)
+        for mesh in ((0.0, 1.0000000000001, 2.0), (0.0, 1.0, 1.0, 2.0), (0.0, 2.0, 1.0),
+                     (0.0, 1.0, 2.0000000000001)):
+            with pytest.raises(DomainError):
+                residual_linear_mesh(prob, traj, mesh)
+        dense = _mk(TimeScale.interval(0.0, 2.0), 0.2, RAMP, -5.0, 0.5)
+        with pytest.raises(DomainError):
+            residual_linear_mesh(dense, traj, (0.0, 1.5, 1.0, 2.0))
+        assert len(residual_linear_mesh(prob, traj, (0.0, 1.0, 2.0))) == 3
+
     def test_constant_solution_residual_is_zero(self):
         prob = _mk(Z, 0.0, constant(0.0), 3.0, 0.5)
         traj = solve_linear_trajectory(prob, steps=10)

@@ -226,6 +226,9 @@ class TestResidualNonlinear:
                                       rel=1e-12, abs=1e-12)
         with pytest.raises(DomainError):
             residual_nonlinear_mesh(p, res.solution, (0.0, 1.0, 2.0))
+        # a point just off the scale is not snapped into a short column
+        with pytest.raises(DomainError):
+            residual_nonlinear_mesh(p, res.solution, (1.0, 2.0000000000001, 3.0))
 
     def test_zero_rhs_zero_residual(self):
         p = _prob(TimeScale.integers(0, 5), lambda t, x: 0.0, 0.01, 0, 5, 2.0, 0.4)
