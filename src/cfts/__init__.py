@@ -28,7 +28,6 @@ from .fractional import (
     cf_delta_left_prefix,
     cf_delta_right,
     cf_integral,
-    cf_limit_check,
 )
 from .linear import (
     LinearCFProblem,
@@ -43,9 +42,8 @@ from .nonlinear import (
     contraction_check,
     max_contractive_window,
     picard_solve,
-    residual_nonlinear,
 )
-from .signals import Closure, Sampled, Signal, constant, sample, value
+from .signals import Closure, Sampled, Signal, constant, value
 from .stability import StabilityVerdict, classify_hz, classify_r, estimate_sc
 from .timescale import (
     ContinuousInterval,
@@ -89,7 +87,6 @@ __all__ = [
     "cf_delta_left_prefix",
     "cf_delta_right",
     "cf_integral",
-    "cf_limit_check",
     "classical_trajectory",
     "classify_hz",
     "classify_r",
@@ -105,8 +102,6 @@ __all__ = [
     "parse_timescale",
     "picard_solve",
     "residual_linear",
-    "residual_nonlinear",
-    "sample",
     "solve_linear",
     "solve_linear_trajectory",
     "value",

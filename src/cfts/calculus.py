@@ -127,8 +127,9 @@ def _quad(fn: Callable[[float], float], lo: float, hi: float, tol: float,
 
 
 def _richardson_derivative(f: Callable[[float], float], t: float,
-                           lo: float, hi: float, tol: float) -> float:
-    """Ordinary derivative of f at t, sampling only inside [lo, hi].
+                           lo: float, hi: float) -> float:
+    """Ordinary derivative of f at t to DERIV_TOL, sampling only inside
+    [lo, hi].
 
     Central differences with step halving and Richardson extrapolation;
     falls back to one-sided stencils at interval endpoints.
@@ -163,21 +164,19 @@ def _richardson_derivative(f: Callable[[float], float], t: float,
         err = abs(row[-1] - table[-1])
         if err < best_err:
             best, best_err = row[-1], err
-        if err <= tol * max(1.0, abs(row[-1])):
+        if err <= DERIV_TOL * max(1.0, abs(row[-1])):
             return row[-1]
         table = row
     return best
 
 
-def delta_derivative(ts: TimeScale, f: Signal, t: float,
-                     tol: float | None = None) -> float:
+def delta_derivative(ts: TimeScale, f: Signal, t: float) -> float:
     """Delta derivative of f at t.
 
     Right-scattered t: the exact quotient (f(sigma(t)) - f(t)) / mu(t).
     Dense t: the signal's exact derivative when available, otherwise a
-    difference quotient refined to ``tol`` (default DERIV_TOL).
+    difference quotient refined to DERIV_TOL.
     """
-    tol = DERIV_TOL if tol is None else tol
     _, t, after = ts._neighbours(t)
     if not ts.in_kappa_domain(t):
         raise OutsideKappaDomain(f"t={t!r} is the left-scattered maximum")
@@ -189,7 +188,7 @@ def delta_derivative(ts: TimeScale, f: Signal, t: float,
         return f.derivative(t)
     i, t = ts._locate(t)
     seg = ts.segments[i]
-    return _richardson_derivative(f.func, t, seg.lo, seg.hi, tol)
+    return _richardson_derivative(f.func, t, seg.lo, seg.hi)
 
 
 def _growth(rate: float, lo: float, hi: float, mu: float) -> float:
@@ -242,8 +241,7 @@ def _convolved(ts: TimeScale, u: Signal, p: float, tol: float | None):
                                else _u_run_integral(ts, u, lo, hi, p, tol))
 
 
-def delta_integral(ts: TimeScale, f: Signal, a: float, b: float,
-                   tol: float | None = None) -> float:
+def delta_integral(ts: TimeScale, f: Signal, a: float, b: float) -> float:
     """Cauchy (delta) integral of f over [a, b), a <= b: the kernel march at
     rate 0.  Scattered points contribute mu(t) * f(t); dense runs are
     integrated by adaptive quadrature (Closure) or by the trapezoid rule on
@@ -251,7 +249,7 @@ def delta_integral(ts: TimeScale, f: Signal, a: float, b: float,
     a, b = ts.snap(a), ts.snap(b)
     if b < a:
         raise DomainError(f"need a <= b, got a={a}, b={b}")
-    return _march_to(ts, a, b, 0.0, _convolved(ts, f, 0.0, tol))[1]
+    return _march_to(ts, a, b, 0.0, _convolved(ts, f, 0.0, None))[1]
 
 
 def _kernel_breakpoints(lo: float, hi: float, slope: float) -> list[float] | None:

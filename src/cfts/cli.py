@@ -24,10 +24,10 @@ numeric tolerance (a finite number >= 0; quadrature and fixed-point
 stopping; default 1e-10).
 
 Errors exit with a code and a one-line message on stderr: 2 for a config,
-path or domain error, 3 for a regressivity violation, 4 for a fixed-point
-iteration that is not contractive or spends its budget, and 5 for
-quadrature that did not converge.  A stdout closed by its reader (``cfts
-stability ... | head``) exits 1 with nothing on stderr.
+path or domain error (arithmetic overflow included), 3 for a regressivity
+violation, 4 for a fixed-point iteration that is not contractive or spends
+its budget, and 5 for quadrature that did not converge.  A stdout closed by
+its reader (``cfts stability ... | head``) exits 1 with nothing on stderr.
 """
 
 from __future__ import annotations
@@ -117,7 +117,7 @@ def _linear_trajectory(scn: Scenario, alpha: float, tol: float):
     traj = solve_linear_trajectory(prob, horizon=scn.horizon, steps=scn.steps,
                                    tol=tol)
     verdict = _scenario_verdict(scn, alpha) if "verdict" in scn.outputs else None
-    return traj, residual_linear_mesh(prob, traj, traj.mesh, tol), verdict, startup
+    return traj, residual_linear_mesh(prob, traj, traj.mesh), verdict, startup
 
 
 def _nonlinear_trajectory(scn: Scenario, alpha: float, tol: float):
@@ -449,7 +449,7 @@ def _build_parser() -> argparse.ArgumentParser:
 #: (NotRegressive is a NonRegressiveParameter).
 _EXITS = (
     ((ConfigError, OSError, UnicodeDecodeError), 2, "config error"),
-    ((DomainError, PointNotInTimeScale), 2, "domain error"),
+    ((DomainError, PointNotInTimeScale, OverflowError), 2, "domain error"),
     ((NonRegressiveParameter,), 3, "regressivity violation"),
     ((NotContractive,), 4, "not contractive"),
     ((MaxIterationsExceeded,), 4, "iteration budget spent"),

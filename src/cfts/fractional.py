@@ -26,7 +26,6 @@ from .calculus import (
     _kills,
     _march_to,
     _u_run_integral,
-    delta_derivative,
     delta_integral,
     kernel_march,
 )
@@ -63,17 +62,16 @@ class CFOrder:
         return self.m_alpha / (1.0 - self.alpha)
 
 
-def _dense_weighted(ts: TimeScale, f: Signal, lo: float, hi: float, rate: float,
-                    tol: float | None) -> float:
+def _dense_weighted(ts: TimeScale, f: Signal, lo: float, hi: float, rate: float) -> float:
     """integral_lo^hi f^delta(tau) exp(rate*(hi - tau)) dtau on a dense cell: a
     Closure through ``_u_run_integral`` (its exact derivative, else f by parts,
     which avoids numerical differentiation under the integral), a Sampled
     signal as its exact cell increments weighted by the midpoint kernel."""
     if isinstance(f, Closure) and f.derivative is not None:
-        return _u_run_integral(ts, Closure(f.derivative), lo, hi, rate, tol)
+        return _u_run_integral(ts, Closure(f.derivative), lo, hi, rate, None)
     if isinstance(f, Closure):
         return (f.func(hi) - f.func(lo) * math.exp(rate * (hi - lo))
-                + rate * _u_run_integral(ts, f, lo, hi, rate, tol))
+                + rate * _u_run_integral(ts, f, lo, hi, rate, None))
     pts = [lo, *f.between(lo, hi), hi]
     total = 0.0
     for p0, p1 in zip(pts, pts[1:]):
@@ -82,8 +80,7 @@ def _dense_weighted(ts: TimeScale, f: Signal, lo: float, hi: float, rate: float,
     return total
 
 
-def _increments(ts: TimeScale, f: Signal, rate: float, tol: float | None,
-                grid_hi: float):
+def _increments(ts: TimeScale, f: Signal, rate: float, grid_hi: float):
     """The kernel-march term of f^delta: mu * f^delta(lo) on a scattered cell,
     ``_dense_weighted`` on a dense one.  Raises NonRegressiveKernel past
     ``grid_hi`` once a factor 1 + mu*rate has vanished in the span walked."""
@@ -99,7 +96,7 @@ def _increments(ts: TimeScale, f: Signal, rate: float, tol: float | None,
                 f"(graininess (1-alpha)/alpha = {-1.0 / rate:g})")
         if not mu:
             f_lo = None
-            return _dense_weighted(ts, f, lo, hi, rate, tol)
+            return _dense_weighted(ts, f, lo, hi, rate)
         f_hi = value(f, ts, hi)
         fd = (f_hi - (value(f, ts, lo) if f_lo is None else f_lo)) / mu
         f_lo = f_hi
@@ -108,8 +105,8 @@ def _increments(ts: TimeScale, f: Signal, rate: float, tol: float | None,
     return term
 
 
-def _left_march(ts: TimeScale, f: Signal, mesh: Sequence[float], order: CFOrder,
-                tol: float | None) -> list[float]:
+def _left_march(ts: TimeScale, f: Signal, mesh: Sequence[float],
+                order: CFOrder) -> list[float]:
     """``cf_delta_left_prefix`` on canonical mesh points, read as they are.
     A mesh that is empty, not strictly increasing, or has a point off the
     scale raises DomainError."""
@@ -125,12 +122,12 @@ def _left_march(ts: TimeScale, f: Signal, mesh: Sequence[float], order: CFOrder,
     seg = ts.segments[ts._locate(a)[0]]
     # [a, t] lies in one uniform grid iff t <= grid_hi
     grid_hi = seg.hi if isinstance(seg, UniformGrid) else a
-    term = _increments(ts, f, rate, tol, grid_hi)
+    term = _increments(ts, f, rate, grid_hi)
     return [0.0, *(front * S for _, S in kernel_march(ts, mesh, rate, term))]
 
 
 def cf_delta_left_prefix(ts: TimeScale, f: Signal, mesh: Sequence[float],
-                         order: CFOrder, tol: float | None = None) -> list[float]:
+                         order: CFOrder) -> list[float]:
     """Left-sided fractional delta derivative of f over [mesh[0], t] at
     every point t of an increasing mesh (snapped to the scale first), from
     one ``kernel_march`` at rate alpha_bar: front_factor * S(t), so a whole
@@ -142,11 +139,10 @@ def cf_delta_left_prefix(ts: TimeScale, f: Signal, mesh: Sequence[float],
     is raised when the mesh reaches past it into a hybrid span, instead of
     silently discarding the history before it.
     """
-    return _left_march(ts, f, [ts.snap(t) for t in mesh], order, tol)
+    return _left_march(ts, f, [ts.snap(t) for t in mesh], order)
 
 
-def cf_delta_left(ts: TimeScale, f: Signal, a: float, t: float, order: CFOrder,
-                  tol: float | None = None) -> float:
+def cf_delta_left(ts: TimeScale, f: Signal, a: float, t: float, order: CFOrder) -> float:
     """Left-sided fractional delta derivative of f over [a, t]: the last
     value of ``cf_delta_left_prefix`` on the mesh (a, t).
 
@@ -160,11 +156,10 @@ def cf_delta_left(ts: TimeScale, f: Signal, a: float, t: float, order: CFOrder,
     a, t = ts.snap(a), ts.snap(t)
     if t < a:
         raise DomainError(f"need a <= t, got a={a}, t={t}")
-    return _left_march(ts, f, [a, t] if t > a else [a], order, tol)[-1]
+    return _left_march(ts, f, [a, t] if t > a else [a], order)[-1]
 
 
-def cf_delta_right(ts: TimeScale, f: Signal, t: float, b: float, order: CFOrder,
-                   tol: float | None = None) -> float:
+def cf_delta_right(ts: TimeScale, f: Signal, t: float, b: float, order: CFOrder) -> float:
     """Right-sided fractional delta derivative of f over [t, b].
 
     At alpha = 0 this is exactly f(b) - f(t).  Otherwise the kernel is
@@ -180,7 +175,7 @@ def cf_delta_right(ts: TimeScale, f: Signal, t: float, b: float, order: CFOrder,
     if order.alpha == 0.0:
         return value(f, ts, b) - value(f, ts, t)
     rate = order.alpha_bar
-    increment = _increments(ts, f, rate, tol, -math.inf)
+    increment = _increments(ts, f, rate, -math.inf)
     accum = 1.0  # e_{alpha_bar}(hi, t) of the cell last walked
 
     def term(lo, hi, mu):
@@ -197,8 +192,7 @@ def cf_delta_right(ts: TimeScale, f: Signal, t: float, b: float, order: CFOrder,
     return x
 
 
-def cf_integral(ts: TimeScale, u: Signal, t: float, order: CFOrder,
-                tol: float | None = None) -> float:
+def cf_integral(ts: TimeScale, u: Signal, t: float, order: CFOrder) -> float:
     """Fractional delta integral of order alpha from 0 to t.
 
     The affine combination ((1-alpha)/M) u(t) + (alpha/M) integral_0^t u;
@@ -212,40 +206,5 @@ def cf_integral(ts: TimeScale, u: Signal, t: float, order: CFOrder,
         raise DomainError("fractional integral starts at 0; need t >= 0")
     w = 1.0 / order.m_alpha
     return ((1.0 - order.alpha) * w * value(u, ts, t)
-            + order.alpha * w * delta_integral(ts, u, 0.0, t, tol))
+            + order.alpha * w * delta_integral(ts, u, 0.0, t))
 
-
-@dataclass(frozen=True)
-class LimitEntry:
-    alpha: float
-    cf_value: float
-    abs_error: float
-
-
-@dataclass(frozen=True)
-class LimitReport:
-    """Evidence for the alpha -> 1 behavior of the left-sided operator."""
-
-    delta_value: float
-    entries: tuple[LimitEntry, ...]
-
-    @property
-    def errors_decreasing(self) -> bool:
-        errs = [e.abs_error for e in self.entries]
-        return all(b <= a * (1.0 + 1e-12) for a, b in zip(errs, errs[1:]))
-
-
-def cf_limit_check(ts: TimeScale, f: Signal, a: float, t: float,
-                   alphas: Sequence[float]) -> LimitReport:
-    """Compare the fractional derivative against f^delta(t) along an
-    increasing sequence of orders."""
-    if any(b <= a_ for a_, b in zip(alphas, alphas[1:])) or not alphas:
-        raise DomainError("alphas must be strictly increasing")
-    if not all(0.0 <= al < 1.0 for al in alphas):
-        raise DomainError("alphas must lie in [0, 1)")
-    fd = delta_derivative(ts, f, t)
-    entries = []
-    for al in alphas:
-        v = cf_delta_left(ts, f, a, t, CFOrder(al))
-        entries.append(LimitEntry(al, v, abs(v - fd)))
-    return LimitReport(fd, tuple(entries))

@@ -18,8 +18,7 @@ The limiting order alpha = 1 degenerates to the classical delta equation
 x^delta = lambda*x + u, provided here as ``classical_trajectory`` (its own
 walk keeps the explicit step x + mu*(lambda*x + u) that the figures pin);
 its defect over a sampled trajectory is ``classical_residual_mesh`` (one
-walk over the cells reading slopes, the stored values read by index), with
-the single-point ``classical_residual`` kept for any signal.
+walk over the cells reading slopes, the stored values read by index).
 
 Note: the closed form solves the equation pointwise exactly when the data
 satisfy the start-up compatibility u(0) + lambda*x0 = 0 (the operator of
@@ -28,7 +27,8 @@ For incompatible data the formula carries the parasitic residual
 C * (e_{alpha_bar}(t,0)/(1-alpha) - lambda) with
 C = (1 - 1/K) x0 - ((1-alpha)/K) u(0); the residual reports it faithfully.
 ``residual_linear_mesh`` evaluates the residual over a whole mesh in one
-forward kernel march (O(n)); ``residual_linear`` is its single-point form.
+forward kernel march (O(n)); ``residual_linear`` is its single-point form,
+kept for the benchmark's layer sweep.
 """
 
 from __future__ import annotations
@@ -37,7 +37,7 @@ import math
 from dataclasses import dataclass
 from typing import Sequence
 
-from .calculus import _convolved, _kills, _u_run_integral, delta_derivative, kernel_march
+from .calculus import _convolved, _kills, _u_run_integral, kernel_march
 from .errors import DomainError, NotRegressive
 from .fractional import CFOrder, _left_march
 from .signals import Sampled, Signal, as_signal, value
@@ -93,14 +93,14 @@ def _march(prob: LinearCFProblem, mesh: Sequence[float],
     return xs
 
 
-def solve_linear(prob: LinearCFProblem, t: float, tol: float | None = None) -> float:
+def solve_linear(prob: LinearCFProblem, t: float) -> float:
     """Evaluate the closed-form solution at a single point t >= 0."""
     ts = prob.ts
     t = ts.snap(t)
     if t < 0.0:
         raise DomainError("the solution formula is for t >= 0")
     zero = ts.snap(0.0)
-    return _march(prob, (zero, t) if t > zero else (zero,), tol)[-1]
+    return _march(prob, (zero, t) if t > zero else (zero,), None)[-1]
 
 
 def _resolve_mesh(ts: TimeScale, horizon: float | None, steps: int | None,
@@ -128,26 +128,25 @@ def solve_linear_trajectory(prob: LinearCFProblem, horizon: float | None = None,
     return Sampled(mesh, tuple(_march(prob, mesh, tol)))
 
 
-def residual_linear_mesh(prob: LinearCFProblem, x: Signal, mesh: Sequence[float],
-                         tol: float | None = None) -> list[float]:
+def residual_linear_mesh(prob: LinearCFProblem, x: Signal,
+                         mesh: Sequence[float]) -> list[float]:
     """Defect D^(alpha) x (t) - lambda*x(t) - u(t) at every point of an
     increasing mesh starting at 0, from one forward kernel march.  The mesh
     points are canonical (as ``TimeScale.mesh`` returns them)."""
     ts = prob.ts
     if not mesh or ts.snap(mesh[0]) != ts.snap(0.0):
         raise DomainError("the residual mesh must start at t = 0")
-    lhs = _left_march(ts, x, mesh, prob.order, tol)
+    lhs = _left_march(ts, x, mesh, prob.order)
     return [d - prob.lam * value(x, ts, t) - value(prob.u, ts, t)
             for d, t in zip(lhs, mesh)]
 
 
-def residual_linear(prob: LinearCFProblem, x: Signal, t: float,
-                    tol: float | None = None) -> float:
+def residual_linear(prob: LinearCFProblem, x: Signal, t: float) -> float:
     """Defect D^(alpha) x (t) - lambda*x(t) - u(t) at a single point t >= 0."""
     zero = prob.ts.snap(0.0)
     t = prob.ts.snap(t)
     mesh = (zero, t) if t != zero else (zero,)
-    return residual_linear_mesh(prob, x, mesh, tol)[-1]
+    return residual_linear_mesh(prob, x, mesh)[-1]
 
 
 def classical_trajectory(ts: TimeScale, lam: float, u, x0: float,
@@ -173,16 +172,10 @@ def classical_trajectory(ts: TimeScale, lam: float, u, x0: float,
     return Sampled(mesh, tuple(xs))
 
 
-def classical_residual(ts: TimeScale, lam: float, u, x: Signal, t: float) -> float:
-    """Defect x^delta(t) - lambda*x(t) - u(t) of the classical equation."""
-    u = as_signal(u)
-    return (delta_derivative(ts, x, t)
-            - lam * value(x, ts, t) - value(u, ts, t))
-
-
 def classical_residual_mesh(ts: TimeScale, lam: float, u, x: Sampled) -> list[float]:
-    """``classical_residual`` at every point of x.mesh but the last (where
-    sigma(t) lies beyond the samples), from one walk over its cells.
+    """Defect x^delta(t) - lambda*x(t) - u(t) of the classical equation at
+    every point of x.mesh but the last (where sigma(t) lies beyond the
+    samples), from one walk over its cells.
 
     x.mesh must be a canonical mesh (``TimeScale.mesh`` or a prefix of
     one), so that its cells are its steps; a mesh that skips a scattered

@@ -16,7 +16,7 @@ over the cells, with a scalar successive substitution at each point.
 
 ``residual_nonlinear_mesh`` re-checks a solution over its whole mesh in one
 forward kernel march; since the operator vanishes at a, its first entry is
--f(a, x0).
+-f(a, x0).  The defect at one point t is the last entry on the mesh (a, t).
 """
 
 from __future__ import annotations
@@ -138,21 +138,13 @@ def picard_solve(prob: NonlinearCFProblem, tol: float = DEFAULT_TOL,
 
 
 def residual_nonlinear_mesh(prob: NonlinearCFProblem, x: Signal,
-                            mesh: Sequence[float],
-                            tol: float | None = None) -> list[float]:
+                            mesh: Sequence[float]) -> list[float]:
     """Defect D^(alpha)_a x (t) - f(t, x(t)) at every point of an increasing
     mesh starting at a, from one forward kernel march.  The mesh points are
     canonical (as ``TimeScale.mesh`` returns them)."""
     ts = prob.ts
     if not mesh or ts.snap(mesh[0]) != prob.a:
         raise DomainError(f"the residual mesh must start at a = {prob.a}")
-    lhs = _left_march(ts, x, mesh, prob.order, tol)
+    lhs = _left_march(ts, x, mesh, prob.order)
     return [d - prob.rhs(t, value(x, ts, t)) for d, t in zip(lhs, mesh)]
 
-
-def residual_nonlinear(prob: NonlinearCFProblem, x: Signal, t: float,
-                       tol: float | None = None) -> float:
-    """Defect D^(alpha)_a x (t) - f(t, x(t)) at a single point t >= a."""
-    t = prob.ts.snap(t)
-    mesh = (prob.a, t) if t != prob.a else (prob.a,)
-    return residual_nonlinear_mesh(prob, x, mesh, tol)[-1]

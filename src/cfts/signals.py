@@ -108,13 +108,6 @@ def value(sig: Signal, ts: TimeScale, t: float) -> float:
     return (1.0 - w) * sig.values[i - 1] + w * sig.values[i]
 
 
-def sample(ts: TimeScale, f: Callable[[float], float], a: float, b: float,
-           max_step: float | None = None) -> Sampled:
-    """Tabulate f on the canonical mesh of [a, b]."""
-    mesh = ts.mesh(a, b, max_step)
-    return Sampled(mesh, tuple(f(t) for t in mesh))
-
-
 def sampled_slope(sig: Sampled, ts: TimeScale, t: float) -> float:
     """Derivative estimate at a dense mesh point from neighboring samples.
 

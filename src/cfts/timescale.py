@@ -440,10 +440,3 @@ def parse_timescale(text: str) -> TimeScale:
             segs.append(parse_segment(line))
     return TimeScale.of(*segs)
 
-
-def format_segment(seg: Segment) -> str:
-    if isinstance(seg, ContinuousInterval):
-        return f"interval {seg.a:g} {seg.b:g}"
-    if isinstance(seg, UniformGrid):
-        return f"grid {seg.start:g} {seg.step:g} {seg.count}"
-    return f"point {seg.t:g}"

@@ -36,7 +36,7 @@ from cfts.calculus import delta_derivative, exp_ts
 from cfts.cli import cmd_figures
 from cfts.config import build_signal, parse_config
 from cfts.errors import NotContractive
-from cfts.fractional import CFOrder, cf_delta_left, cf_integral, cf_limit_check
+from cfts.fractional import CFOrder, cf_delta_left, cf_integral
 from cfts.linear import (
     LinearCFProblem,
     classical_trajectory,
@@ -220,9 +220,11 @@ def test_criterion_6_operator_limits():
         assert cf_delta_left(ts, constant(4.2), 0.0, 13.0, CFOrder(alpha)) == 0.0
     # alpha -> 1 approaches the derivative on a continuous scale:
     # f'(5) = 10 for f(t) = t^2.
-    report = cf_limit_check(TimeScale.interval(0.0, 20.0), square, 0.0, 5.0,
-                            (0.9, 0.99, 0.999))
-    errs = [abs(e.cf_value - 10.0) for e in report.entries]
+    line = TimeScale.interval(0.0, 20.0)
+    fd = delta_derivative(line, square, 5.0)
+    assert fd == pytest.approx(10.0, rel=1e-8)
+    errs = [abs(cf_delta_left(line, square, 0.0, 5.0, CFOrder(al)) - fd)
+            for al in (0.9, 0.99, 0.999)]
     assert errs[0] > errs[1] > errs[2], errs
     assert errs[-1] < 0.05, errs
     # On the fixed unit grid the kernel base 1 + alpha_bar is -998 at

@@ -24,7 +24,7 @@ from cfts.errors import (
     OutsideKappaDomain,
     QuadratureNonConvergence,
 )
-from cfts.signals import Closure, Sampled, constant, sample
+from cfts.signals import Closure, Sampled, constant
 from cfts.timescale import ContinuousInterval, IsolatedPoint, TimeScale, UniformGrid
 
 from .test_timescale import timescales
@@ -112,7 +112,8 @@ class TestDeltaIntegral:
 
     def test_sampled_trapezoid(self):
         ts = TimeScale.interval(0.0, 1.0)
-        sig = sample(ts, lambda t: 2.0 * t, 0.0, 1.0)
+        mesh = ts.mesh(0.0, 1.0)
+        sig = Sampled(mesh, tuple(2.0 * t for t in mesh))
         assert delta_integral(ts, sig, 0.0, 1.0) == pytest.approx(1.0, abs=1e-6)
 
 

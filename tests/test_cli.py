@@ -298,11 +298,21 @@ class TestSimulate:
     def test_overflow_exit_code(self, tmp_path, capsys):
         # alpha 0.9: x reaches 4e307 at t = 308, where the residual is already nan;
         # at 308 steps that nan is in the last row, which only alpha = 1 may have
+        texts = [LINEAR_CONFIG.replace("grid 0 1 31", "grid 0 1 501")
+                 .replace("lambda = 0.2", "lambda = 5").replace("x0 = -5", "x0 = 0")
+                 .replace("0.25 0.5", alphas).replace("steps 30", steps)
+                 for alphas, steps in (("0.9 1", "steps 500"), ("0.9", "steps 308"))]
+        # math.exp overflows in a dense cell's kernel growth, and float ** in
+        # the forcing polynomial at t = 2e200
+        texts += ["[scenario big]\nsegment = interval 0 10000\nequation = linear\n"
+                  "lambda = 1.9\nu = constant 1\nx0 = 0\nalpha = 0.5\n"
+                  "horizon = time 10000\n",
+                  "[scenario huge]\nsegment = grid 0 1e200 3\nequation = linear\n"
+                  "lambda = 0.2\nu = poly 0 0 1\nx0 = 0\nalpha = 0.5\n"
+                  "horizon = steps 2\n"]
         cfg = tmp_path / "blow.config"
-        for alphas, steps in (("0.9 1", "steps 500"), ("0.9", "steps 308")):
-            cfg.write_text(LINEAR_CONFIG.replace("grid 0 1 31", "grid 0 1 501")
-                           .replace("lambda = 0.2", "lambda = 5").replace("x0 = -5", "x0 = 0")
-                           .replace("0.25 0.5", alphas).replace("steps 30", steps))
+        for text in texts:
+            cfg.write_text(text)
             out = tmp_path / "out"
             assert _one_line_error(main(["simulate", str(cfg), "--out", str(out)]),
                                    capsys) == "domain error"

@@ -9,7 +9,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import cfts
-from cfts.calculus import delta_integral, exp_ts, is_regressive
+from cfts.calculus import delta_derivative, delta_integral, exp_ts, is_regressive
 from cfts.errors import DomainError, NonRegressiveKernel
 from cfts.fractional import (
     CFOrder,
@@ -17,7 +17,6 @@ from cfts.fractional import (
     cf_delta_left_prefix,
     cf_delta_right,
     cf_integral,
-    cf_limit_check,
 )
 from cfts.linear import LinearCFProblem, residual_linear_mesh, solve_linear_trajectory
 from cfts.signals import Closure, Sampled, constant
@@ -453,14 +452,24 @@ class TestFractionalIntegral:
             cf_integral(Z, constant(1.0), 3.0, CFOrder(0.0))
 
 
+def _limit_errors(ts, f, a, t, alphas):
+    """f^delta(t) and |cf_delta_left(f; a, t) - f^delta(t)| along the orders."""
+    fd = delta_derivative(ts, f, t)
+    return fd, [abs(cf_delta_left(ts, f, a, t, CFOrder(al)) - fd) for al in alphas]
+
+
+def _decreasing(errs):
+    return all(b <= a * (1.0 + 1e-12) for a, b in zip(errs, errs[1:]))
+
+
 class TestLimitBehavior:
     def test_errors_decrease_on_interval(self):
         ts = TimeScale.interval(0.0, 3.0)
         f = Closure(lambda t: t * t, derivative=lambda t: 2.0 * t)
-        report = cf_limit_check(ts, f, 0.0, 3.0, (0.5, 0.9, 0.99, 0.999))
-        assert report.delta_value == 6.0
-        assert report.errors_decreasing
-        assert report.entries[-1].abs_error < 0.05
+        fd, errs = _limit_errors(ts, f, 0.0, 3.0, (0.5, 0.9, 0.99, 0.999))
+        assert fd == 6.0
+        assert _decreasing(errs)
+        assert errs[-1] < 0.05
 
     def test_linear_function_on_interval_closed_form(self):
         # for f(t) = c*t the operator equals (c/alpha)(1 - exp(abar*(t-a)))
@@ -474,25 +483,20 @@ class TestLimitBehavior:
             assert got == pytest.approx(want, rel=1e-10)
 
     def test_constant_gives_zero_errors_everywhere(self):
-        report = cf_limit_check(Z, constant(2.0), 0.0, 9.0, (0.1, 0.5, 0.9))
-        assert all(e.cf_value == 0.0 for e in report.entries)
-        assert report.delta_value == 0.0
+        assert delta_derivative(Z, constant(2.0), 9.0) == 0.0
+        for al in (0.1, 0.5, 0.9):
+            assert cf_delta_left(Z, constant(2.0), 0.0, 9.0, CFOrder(al)) == 0.0
 
     def test_fixed_grid_diverges_as_alpha_approaches_one(self):
         # On a fixed unit grid the backward weights grow like
         # |(2a-1)/(a-1)| > 1 once alpha > 2/3, so the alpha -> 1 limit does
         # not reproduce the delta derivative; the divergence is real.
         f = Closure(lambda t: t * t)
-        report = cf_limit_check(TimeScale.integers(0, 20), f, 0.0, 5.0,
-                                (0.9, 0.99, 0.999))
-        assert not report.errors_decreasing
-        assert report.entries[-1].abs_error > 1e6
+        _, errs = _limit_errors(TimeScale.integers(0, 20), f, 0.0, 5.0, (0.9, 0.99, 0.999))
+        assert not _decreasing(errs)
+        assert errs[-1] > 1e6
         # the literal summation oracle agrees with the production value
         samples = [float(k * k) for k in range(21)]
         want = oracle_cf_delta_discrete(samples, 1.0, 0.999, 0, 5)
         got = cf_delta_left(TimeScale.integers(0, 20), f, 0.0, 5.0, CFOrder(0.999))
         assert got == pytest.approx(want, rel=1e-10)
-
-    def test_monotone_alpha_sequence_required(self):
-        with pytest.raises(DomainError):
-            cf_limit_check(Z, constant(1.0), 0.0, 5.0, (0.5, 0.5))

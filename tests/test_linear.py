@@ -5,12 +5,11 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from cfts.calculus import exp_ts
+from cfts.calculus import delta_derivative, exp_ts
 from cfts.errors import DomainError, NotRegressive
 from cfts.fractional import CFOrder, cf_integral
 from cfts.linear import (
     LinearCFProblem,
-    classical_residual,
     classical_residual_mesh,
     classical_trajectory,
     residual_linear,
@@ -305,7 +304,7 @@ class TestResidual:
         u = constant(1.0)
         traj = classical_trajectory(TimeScale.integers(0, 30), 0.2, u, 0.0, steps=30)
         for k in range(30):
-            r = classical_residual(TimeScale.integers(0, 30), 0.2, u, traj, float(k))
+            r = _classical_defect(TimeScale.integers(0, 30), 0.2, u, traj, float(k))
             assert abs(r) < 1e-12
 
 
@@ -330,6 +329,11 @@ def _hexes(xs):
     return [float.hex(x) for x in xs]
 
 
+def _classical_defect(ts, lam, u, x, t):
+    """x^delta(t) - lambda*x(t) - u(t) at one point."""
+    return delta_derivative(ts, x, t) - lam * value(x, ts, t) - value(u, ts, t)
+
+
 class TestClassicalResidualMesh:
     @settings(max_examples=120, deadline=None)
     @given(canonical_meshes(), st.floats(-2.0, 2.0), st.booleans())
@@ -343,7 +347,7 @@ class TestClassicalResidualMesh:
         u = (Sampled(mesh, tuple(math.sin(k) for k in range(len(mesh)))) if sampled_u
              else Closure(math.sin, derivative=math.cos))
         got = classical_residual_mesh(ts, lam, u, x)
-        assert _hexes(got) == _hexes(classical_residual(ts, lam, u, x, t)
+        assert _hexes(got) == _hexes(_classical_defect(ts, lam, u, x, t)
                                      for t in mesh[:-1])
 
     def test_scattered_zero_and_samples_forcing(self):
@@ -354,7 +358,7 @@ class TestClassicalResidualMesh:
         traj = classical_trajectory(ts, -0.5, u, 2.0, horizon=2.5)
         assert traj.mesh == mesh
         got = classical_residual_mesh(ts, -0.5, u, traj)
-        assert _hexes(got) == _hexes(classical_residual(ts, -0.5, u, traj, t)
+        assert _hexes(got) == _hexes(_classical_defect(ts, -0.5, u, traj, t)
                                      for t in mesh[:-1])
         # the recurrence solves the equation exactly at scattered points
         assert abs(got[0]) < 1e-15 and abs(got[-1]) < 1e-15

@@ -15,7 +15,6 @@ from cfts.timescale import (
     UniformGrid,
     _atol,
     _close,
-    format_segment,
     parse_segment,
     parse_timescale,
 )
@@ -167,7 +166,10 @@ class TestParsing:
         text = "interval 0 1\ngrid 1.5 0.5 3\npoint 4\n"
         ts = parse_timescale(text)
         assert ts.window == (0.0, 4.0)
-        again = parse_timescale("\n".join(format_segment(s) for s in ts.segments))
+        lines = [f"interval {s.a:g} {s.b:g}" if isinstance(s, ContinuousInterval)
+                 else f"grid {s.start:g} {s.step:g} {s.count}" if isinstance(s, UniformGrid)
+                 else f"point {s.t:g}" for s in ts.segments]
+        again = parse_timescale("\n".join(lines))
         assert again == ts
 
     def test_comments_and_blank_lines(self):
