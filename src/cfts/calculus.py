@@ -3,15 +3,17 @@ regressivity, the time-scale exponential for a constant coefficient, and
 the kernel march that carries every exponential-kernel operator.
 
 Scattered points use exact difference quotients and weighted sums; dense
-runs fall back to ordinary calculus (adaptive quadrature, numerical
-differentiation with Richardson extrapolation).  The quadrature is the
-adaptive Gauss--Kronrod G7/K15 rule of QUADPACK (``qk15`` with a global
-queue of subintervals; Piessens, de Doncker-Kapenga, Ueberhuber & Kahaner,
-QUADPACK, Springer 1983), written against the standard library.
-``kernel_march`` is the one walk over ``TimeScale.cells`` that carries an
-exponential kernel: the exponential, the delta integral (rate 0), both
-fractional operators and the linear closed form run on it, with
-``_u_run_integral`` as the one quadrature of a dense cell.
+runs fall back to ordinary calculus: a Closure's exact kernel integral when
+it carries one (``signals.constant`` and ``signals.sine``), else adaptive
+quadrature, and numerical differentiation with Richardson extrapolation.
+The quadrature is the adaptive Gauss--Kronrod G7/K15 rule of QUADPACK
+(``qk15`` with a global queue of subintervals; Piessens, de
+Doncker-Kapenga, Ueberhuber & Kahaner, QUADPACK, Springer 1983), written
+against the standard library.  ``kernel_march`` is the one walk over
+``TimeScale.cells`` that carries an exponential kernel: the exponential,
+the delta integral (rate 0), both fractional operators and the linear
+closed form run on it, with ``_u_run_integral`` as the one integral of a
+dense cell.
 """
 
 from __future__ import annotations
@@ -274,10 +276,13 @@ def _kernel_breakpoints(lo: float, hi: float, slope: float) -> list[float] | Non
 def _u_run_integral(ts: TimeScale, u: Signal, lo: float, hi: float, p: float,
                     tol: float | None) -> float:
     """integral_lo^hi u(tau) exp(p*(hi - tau)) dtau over one dense cell:
-    quadrature to ``tol`` (default QUAD_TOL) split at the kernel
-    breakpoints for a Closure, the midpoint-weighted trapezoid rule on the
-    stored mesh for a Sampled signal."""
+    the Closure's exact ``kernel_integral`` when it has one (``constant``,
+    ``sine``), else quadrature to ``tol`` (default QUAD_TOL) split at the
+    kernel breakpoints for a Closure, the midpoint-weighted trapezoid rule
+    on the stored mesh for a Sampled signal."""
     if isinstance(u, Closure):
+        if u.kernel_integral is not None:
+            return u.kernel_integral(lo, hi, p)
         return _quad(lambda tau: u.func(tau) * math.exp(p * (hi - tau)), lo, hi,
                      QUAD_TOL if tol is None else tol, _kernel_breakpoints(lo, hi, -p))
     pts = [lo, *u.between(lo, hi), hi]

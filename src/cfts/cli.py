@@ -20,14 +20,17 @@ uses the classical delta-equation defect.  A maximum residual above
 RESIDUAL_GATE prints a warning with the start-up value of the scenario
 kind (u(0) + lambda*x0 or f(a, x0)) and the likeliest cause (see
 ``_self_check``).  The environment variable CFTS_TOL overrides the default
-numeric tolerance (a finite number >= 0; quadrature and fixed-point
-stopping; default 1e-10).
+numeric tolerance (a finite number >= 0; fixed-point stopping, and the
+quadrature of a ``poly`` forcing over dense cells, the only config forcing
+without a closed-form kernel integral; default 1e-10).
 
 Errors exit with a code and a one-line message on stderr: 2 for a config,
-path or domain error (arithmetic overflow included), 3 for a regressivity
-violation, 4 for a fixed-point iteration that is not contractive or spends
-its budget, and 5 for quadrature that did not converge.  A stdout closed by
-its reader (``cfts stability ... | head``) exits 1 with nothing on stderr.
+path or domain error (an arithmetic overflow included, named by its
+scenario and alpha), 3 for a regressivity violation, 4 for a fixed-point
+iteration that is not contractive or spends its budget, and 5 for
+quadrature that did not converge (a ``poly`` forcing on a dense run).  A
+stdout closed by its reader (``cfts stability ... | head``) exits 1 with
+nothing on stderr.
 """
 
 from __future__ import annotations
@@ -215,7 +218,12 @@ def _run(config_path: str, out_dir: str, tol: float, kind: str) -> int:
     runs = []
     for scn in scenarios:
         for alpha in scn.alphas:
-            traj, resid, summary, startup = job(scn, alpha, tol)
+            try:
+                traj, resid, summary, startup = job(scn, alpha, tol)
+            except OverflowError:
+                raise DomainError(f"{scn.name} alpha={_alpha_tag(alpha)}: an "
+                                  f"intermediate value overflows the float range"
+                                  ) from None
             _require_finite(scn.name, alpha, traj, resid)
             runs.append((scn, alpha, traj, resid, summary, startup))
     out = Path(out_dir)

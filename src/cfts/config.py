@@ -19,15 +19,19 @@ scenario's output files.  Keys:
     outputs   = trajectory [verdict] [residuals]   (verdict: linear only;
                                          trajectory and residuals are
                                          always written)
+
+The ``constant`` and ``sin`` forcings are built by ``signals.constant`` and
+``signals.sine``, whose exact kernel integrals spare every dense cell the
+quadrature; a ``poly`` forcing is a plain Closure integrated by quadrature.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Callable
 
-from .signals import Closure, Sampled, Signal, constant
+from ._record import record
+from .signals import Closure, Sampled, Signal, constant, sine
 from .timescale import Segment, TimeScale, parse_segment
 
 
@@ -45,7 +49,7 @@ class ConfigError(Exception):
 _OUTPUTS = ("trajectory", "verdict", "residuals")
 
 
-@dataclass(frozen=True)
+@record
 class Scenario:
     name: str
     ts: TimeScale
@@ -226,9 +230,7 @@ def build_signal(spec: tuple[str, ...],
             derivative=lambda t: sum(k * c * t ** (k - 1)
                                      for k, c in enumerate(coeffs) if k > 0))
     if kind == "sin":
-        amp, freq, phase = args
-        return Closure(lambda t: amp * math.sin(freq * t + phase),
-                       derivative=lambda t: amp * freq * math.cos(freq * t + phase))
+        return sine(*args)
     if kind == "samples":
         if mesh is None:
             raise ConfigError("sample tables need a mesh", field_="u")

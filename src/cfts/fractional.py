@@ -18,9 +18,9 @@ is the weighted average (1-alpha)/M * u(t) + alpha/M * integral_0^t u.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Sequence
 
+from ._record import record
 from .calculus import (
     _growth,
     _kills,
@@ -34,7 +34,7 @@ from .signals import Closure, Signal, value
 from .timescale import TimeScale, UniformGrid
 
 
-@dataclass(frozen=True)
+@record
 class CFOrder:
     """Fractional order alpha in [0, 1) with normalization constant.
 

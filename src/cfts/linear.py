@@ -34,9 +34,9 @@ kept for the benchmark's layer sweep.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Sequence
 
+from ._record import record
 from .calculus import _convolved, _kills, _u_run_integral, kernel_march
 from .errors import DomainError, NotRegressive
 from .fractional import CFOrder, _left_march
@@ -44,7 +44,7 @@ from .signals import Sampled, Signal, as_signal, value
 from .timescale import TimeScale
 
 
-@dataclass(frozen=True)
+@record
 class LinearCFProblem:
     """Data (lambda, u, x0, alpha) of the linear equation on a time scale."""
 

@@ -22,9 +22,9 @@ forward kernel march; since the operator vanishes at a, its first entry is
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Callable, Sequence
 
+from ._record import record
 from .errors import DomainError, MaxIterationsExceeded, NotContractive
 from .fractional import CFOrder, _left_march
 from .signals import Sampled, Signal, value
@@ -34,7 +34,7 @@ DEFAULT_TOL = 1e-10
 DEFAULT_MAX_ITER = 200
 
 
-@dataclass(frozen=True)
+@record
 class NonlinearCFProblem:
     """Right-hand side f(t, x), its Lipschitz bound in x, and the window."""
 
@@ -57,7 +57,7 @@ class NonlinearCFProblem:
         object.__setattr__(self, "b", b)
 
 
-@dataclass(frozen=True)
+@record
 class PicardResult:
     """Solved march: the solution, the largest inner iteration count and
     the largest last update over the points, and the paper's q."""

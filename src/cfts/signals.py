@@ -1,38 +1,49 @@
 """Real-valued signals over a time scale.
 
 Two representations: a Closure wraps a callable (optionally with an exact
-ordinary-derivative callable used at dense points), a Sampled signal stores
-values on a mesh and interpolates linearly inside continuous intervals.
+ordinary-derivative callable used at dense points, and an exact kernel
+integral used on dense cells), a Sampled signal stores values on a mesh and
+interpolates linearly inside continuous intervals.
+
+``constant`` and ``sine`` (the config's ``constant`` and ``sin`` forcings)
+carry the kernel integral in closed form: integral_lo^hi u(tau)
+exp(p*(hi - tau)) dtau is d*phi1(z) with d = hi - lo and z = p*d, times c,
+or the imaginary part of amp*exp(i*(freq*hi + phase))*d*phi1(z) with
+z = (p - i*freq)*d, where phi1(z) = (e^z - 1)/z is the weight of
+exponential integrators (Hochbruck & Ostermann, Acta Numerica 19, 2010).
 """
 
 from __future__ import annotations
 
 import math
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass
 from typing import Callable, Union
 
+from ._record import record
 from .errors import DenseDerivativeUnavailable, PointNotInTimeScale
 from .timescale import TimeScale, _atol
 
 
-@dataclass(frozen=True)
+@record
 class Closure:
     """Signal given by a function t -> value.
 
     ``derivative``, when present, is the exact ordinary derivative; it is
     consulted only at dense points (scattered points always use the exact
-    difference quotient).
+    difference quotient).  ``kernel_integral(lo, hi, p)``, when present, is
+    the exact integral_lo^hi func(tau) exp(p*(hi - tau)) dtau over a dense
+    cell, used there in place of quadrature.
     """
 
     func: Callable[[float], float]
     derivative: Callable[[float], float] | None = None
+    kernel_integral: Callable[[float, float, float], float] | None = None
 
     def __call__(self, t: float) -> float:
         return self.func(t)
 
 
-@dataclass(frozen=True)
+@record
 class Sampled:
     """Signal stored on an increasing mesh of time-scale points."""
 
@@ -76,9 +87,40 @@ def as_signal(f) -> Signal:
     return constant(f)
 
 
+def _phi1(z: complex) -> complex:
+    """(e^z - 1)/z, 1 at z = 0; e^z - 1 is formed as
+    (expm1(x)*cos(y) - 2*sin(y/2)**2) + i*e^x*sin(y), which loses no digits
+    to cancellation when |z| is small."""
+    if not z:
+        return 1.0
+    x, y = z.real, z.imag
+    return complex(math.expm1(x) * math.cos(y) - 2.0 * math.sin(0.5 * y) ** 2,
+                   math.exp(x) * math.sin(y)) / z
+
+
 def constant(c: float) -> Closure:
     c = float(c)
-    return Closure(lambda t: c, derivative=lambda t: 0.0)
+
+    def kernel_integral(lo, hi, p):
+        d = hi - lo
+        return c * d * _phi1(p * d).real
+
+    return Closure(lambda t: c, derivative=lambda t: 0.0,
+                   kernel_integral=kernel_integral)
+
+
+def sine(amp: float, freq: float, phase: float) -> Closure:
+    """amp*sin(freq*t + phase), with its derivative and kernel integral."""
+
+    def kernel_integral(lo, hi, p):
+        d = hi - lo
+        w = d * _phi1(complex(p * d, -freq * d))
+        theta = freq * hi + phase
+        return amp * (math.sin(theta) * w.real + math.cos(theta) * w.imag)
+
+    return Closure(lambda t: amp * math.sin(freq * t + phase),
+                   derivative=lambda t: amp * freq * math.cos(freq * t + phase),
+                   kernel_integral=kernel_integral)
 
 
 def value(sig: Signal, ts: TimeScale, t: float) -> float:

@@ -12,11 +12,11 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_right
-from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
 from typing import Iterable, Iterator, Sequence, Union
 
+from ._record import record
 from .errors import PointNotInTimeScale
 
 #: Relative tolerance for deciding that a float coincides with a lattice point.
@@ -34,7 +34,7 @@ def _close(x: float, y: float) -> bool:
     return abs(x - y) <= MEMBERSHIP_RTOL * max(1.0, abs(x), abs(y))
 
 
-@dataclass(frozen=True)
+@record
 class ContinuousInterval:
     """A closed real interval [a, b] with b > a."""
 
@@ -56,7 +56,7 @@ class ContinuousInterval:
         return self.b
 
 
-@dataclass(frozen=True)
+@record
 class UniformGrid:
     """Points start, start+step, ..., start+(count-1)*step with step > 0."""
 
@@ -82,7 +82,7 @@ class UniformGrid:
         return self.point(self.count - 1)
 
 
-@dataclass(frozen=True)
+@record
 class IsolatedPoint:
     """A single point."""
 
@@ -185,7 +185,7 @@ def _normalize(segments: Iterable[Segment]) -> tuple[Segment, ...]:
     return tuple(out)
 
 
-@dataclass(frozen=True)
+@record
 class TimeScale:
     """An ordered union of disjoint segments within a bounded window.
 

@@ -2,7 +2,7 @@ import cmath
 import math
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from cfts.calculus import (
@@ -24,7 +24,7 @@ from cfts.errors import (
     OutsideKappaDomain,
     QuadratureNonConvergence,
 )
-from cfts.signals import Closure, Sampled, constant
+from cfts.signals import Closure, Sampled, constant, sine
 from cfts.timescale import ContinuousInterval, IsolatedPoint, TimeScale, UniformGrid
 
 from .test_timescale import timescales
@@ -279,3 +279,61 @@ class TestGaussKronrod:
     def test_unresolved_oscillation_raises(self):
         with pytest.raises(QuadratureNonConvergence):
             _quad(lambda t: math.sin(20000.0 * t), 0.0, 50.0, 1e-10)
+
+
+def _kernel_oracle(u, lo, hi, p):
+    """integral_lo^hi u(tau) exp(p*(hi - tau)) dtau by adaptive quadrature in
+    s = hi - tau, so that the nodes near the kernel's peak at s = 0 carry no
+    rounding of tau (a steep kernel would amplify it)."""
+    d = hi - lo
+    return _quad(lambda s: u.func(hi - s) * math.exp(p * s), 0.0, d, 1e-13,
+                 _kernel_breakpoints(0.0, d, p))
+
+
+_LOG = st.floats(-9.0, 5.0)
+
+
+class TestClosedFormKernelIntegral:
+    """constant and sine integrate a dense cell against exp(p*(hi - tau))
+    exactly; quadrature to 1e-13 is the judge, within 1e-11 of the kernel
+    mass |amp| * integral exp(p*(hi - tau)) dtau."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(lo=st.floats(-10.0, 10.0), log_d=st.floats(-9.0, 0.5),
+           p=st.one_of(st.just(0.0), st.builds(lambda e: 10.0 ** e, _LOG),
+                       st.builds(lambda e: -10.0 ** e, _LOG)),
+           freq=st.one_of(st.just(0.0), st.builds(lambda e: 10.0 ** e, st.floats(-9.0, 3.0))),
+           amp=st.builds(lambda m, sign: m * sign, st.floats(0.1, 3.0),
+                         st.sampled_from((-1.0, 1.0))),
+           phase=st.floats(-3.2, 3.2))
+    @example(lo=1.0, log_d=-9.0, p=1.0, freq=0.0, amp=1.0, phase=0.5)  # |z| = 1e-9
+    @example(lo=1.0, log_d=-9.0, p=-0.6, freq=0.8, amp=1.0, phase=0.5)  # |z| = 1e-9
+    @example(lo=-3.0, log_d=0.0, p=-20.0, freq=7.0, amp=2.0, phase=1.0)  # |p| d = 20
+    @example(lo=2.0, log_d=0.5, p=-1e4, freq=3.0, amp=-1.5, phase=0.0)
+    @example(lo=0.0, log_d=0.5, p=0.0, freq=2.0, amp=1.0, phase=0.3)  # p = 0
+    def test_matches_quadrature(self, lo, log_d, p, freq, amp, phase):
+        hi = lo + 10.0 ** log_d
+        d = hi - lo
+        assume(d > 0.0 and p * d <= 30.0 and freq * d <= 50.0)
+        mass = abs(amp) * (math.expm1(p * d) / p if p else d)
+        for u in (sine(amp, freq, phase), constant(amp)):
+            got = u.kernel_integral(lo, hi, p)
+            assert abs(got - _kernel_oracle(u, lo, hi, p)) <= 1e-11 * mass
+
+    @pytest.mark.parametrize("a,b", [(0.0, 1e-9), (0.0, 2.5), (-3.0, 40.0)])
+    def test_delta_integral_is_the_rate_zero_case(self, a, b):
+        ts = TimeScale.interval(a, b)
+        amp, freq, phase = 1.5, 3.0, 0.4
+        want = amp * (math.cos(freq * a + phase) - math.cos(freq * b + phase)) / freq
+        assert abs(delta_integral(ts, sine(amp, freq, phase), a, b) - want) <= 1e-13
+        assert delta_integral(ts, constant(2.0), a, b) == pytest.approx(2.0 * (b - a),
+                                                                      rel=1e-15)
+
+    def test_steep_kernel_keeps_its_mass(self):
+        # |p| d = 1e5: the kernel's mass 1/|p| sits within 1e-5 of hi
+        got = constant(1.0).kernel_integral(0.0, 1.0, -1e5)
+        assert got == pytest.approx(1e-5, rel=1e-15)
+        # Im(e^{2i} / (1e5 + 2i)), up to the e^{-1e5} tail
+        got = sine(1.0, 2.0, 0.0).kernel_integral(0.0, 1.0, -1e5)
+        want = (1e5 * math.sin(2.0) - 2.0 * math.cos(2.0)) / (1e10 + 4.0)
+        assert got == pytest.approx(want, rel=1e-14)

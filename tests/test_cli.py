@@ -311,11 +311,15 @@ class TestSimulate:
                   "lambda = 0.2\nu = poly 0 0 1\nx0 = 0\nalpha = 0.5\n"
                   "horizon = steps 2\n"]
         cfg = tmp_path / "blow.config"
-        for text in texts:
+        for text, job in zip(texts, ("demo alpha=0.9", "demo alpha=0.9",
+                                     "big alpha=0.5", "huge alpha=0.5")):
             cfg.write_text(text)
             out = tmp_path / "out"
-            assert _one_line_error(main(["simulate", str(cfg), "--out", str(out)]),
-                                   capsys) == "domain error"
+            rc = main(["simulate", str(cfg), "--out", str(out)])
+            out_text, err = capsys.readouterr()
+            assert (rc, out_text, err.count("\n")) == (2, "", 1)
+            # the message names the job, as the finiteness check does
+            assert err.startswith(f"domain error: {job}: ")
             assert not out.exists()
 
     def test_late_verdict_error_leaves_no_output(self, tmp_path, capsys):
@@ -328,17 +332,70 @@ class TestSimulate:
                                capsys) == "domain error"
         assert not out.exists()
 
-    def test_quadrature_failure_exit_code(self, tmp_path, capsys):
-        # 20000 rad/s over each 50/256-long dense cell: 200 subintervals
-        # cannot resolve the forcing
-        cfg = tmp_path / "osc.config"
-        cfg.write_text("[scenario osc]\nsegment = interval 0 50\nequation = linear\n"
-                       "lambda = -0.5\nu = sin 1 20000 0\nx0 = 0\nalpha = 0.5\n"
+    def test_quadrature_failure_exit_code(self, tmp_path, capsys, monkeypatch):
+        # a poly forcing is the one config forcing that a dense cell
+        # integrates by quadrature; a panel whose error estimate no
+        # tolerance accepts spends the subinterval budget
+        monkeypatch.setattr(cfts.calculus, "_qk15", lambda fn, a, b: (0.0, math.inf))
+        cfg = tmp_path / "poly.config"
+        cfg.write_text("[scenario poly]\nsegment = interval 0 50\nequation = linear\n"
+                       "lambda = -0.5\nu = poly 0 1\nx0 = 0\nalpha = 0.5\n"
                        "horizon = time 50\n")
         out = tmp_path / "out"
         assert _one_line_error(main(["simulate", str(cfg), "--out", str(out)]),
                                capsys, 5) == "quadrature did not converge"
         assert not out.exists()
+
+    def test_fast_sine_has_a_closed_form(self, tmp_path, capsys):
+        # 20000 rad/s over each 50/256-long dense cell is past what 200
+        # quadrature subintervals resolve; the sine's exact kernel integral
+        # needs none
+        cfg = tmp_path / "osc.config"
+        cfg.write_text("[scenario osc]\nsegment = interval 0 50\nequation = linear\n"
+                       "lambda = -0.5\nu = sin 1 20000 0\nx0 = 0\nalpha = 0.5 1\n"
+                       "horizon = time 50\n")
+        assert main(["simulate", str(cfg), "--out", str(tmp_path)]) == 0
+        for name in ("osc_alpha0.5.csv", "osc_alpha1.csv"):
+            rows = _read(tmp_path / name)
+            assert len(rows) == 257
+            assert all(math.isfinite(float(r["x"])) for r in rows)
+
+    def test_config_forcings_take_no_quadrature(self, tmp_path, monkeypatch):
+        # a grid and two dense intervals, forced by a sine and a constant, at
+        # fractional orders and alpha = 1: every dense cell is closed-form
+        calls = []
+        quad = cfts.calculus._quad
+        monkeypatch.setattr(cfts.calculus, "_quad",
+                            lambda *args, **kw: calls.append(args) or quad(*args, **kw))
+        body = ("equation = linear\nlambda = -0.4\nx0 = 0\nalpha = 0.3 0.7 1\n"
+                "outputs = trajectory residuals\n")
+        cfg = tmp_path / "kernel.config"
+        cfg.write_text("[scenario grid]\nsegment = grid 0 0.01 801\nu = sin 0.4 3 0\n"
+                       "horizon = steps 800\n" + body
+                       + "[scenario dense]\nsegment = interval 0 0.5\n"
+                       "segment = interval 0.7 1.2\nu = sin 0.4 3 0\n"
+                       "horizon = time 1.2\n" + body
+                       + "[scenario flat]\nsegment = interval 0 2\nu = constant 0\n"
+                       "horizon = time 2\n" + body)
+        assert main(["simulate", str(cfg), "--out", str(tmp_path)]) == 0
+        assert calls == []
+        # a poly forcing still integrates by quadrature
+        cfg.write_text(cfg.read_text().replace("u = constant 0", "u = poly 0 1"))
+        assert main(["simulate", str(cfg), "--out", str(tmp_path)]) == 0
+        assert calls
+
+    def test_constant_forcing_on_a_huge_interval(self, tmp_path, capsys):
+        # kernel width 1/|p| = 5 is far below the float spacing of t near
+        # 1e300, where quadrature panels cannot resolve it; the closed form
+        # gives the stable limit alpha/(K^2 |p|) = 0.5/(1.25^2 * 0.2) = 1.6
+        cfg = tmp_path / "far.config"
+        cfg.write_text("[scenario far]\nsegment = interval 0 1e300\nequation = linear\n"
+                       "lambda = -0.5\nu = constant 1\nx0 = 0\nalpha = 0.5\n"
+                       "horizon = time 1e300\n")
+        assert main(["simulate", str(cfg), "--out", str(tmp_path)]) == 0
+        rows = _read(tmp_path / "far_alpha0.5.csv")
+        assert float(rows[-1]["t"]) == 1e300
+        assert all(float(r["x"]) == pytest.approx(1.6, rel=1e-12) for r in rows[1:])
 
     def test_steep_classical_kernel_on_a_long_run(self, tmp_path):
         # lambda = -1e5 on dense cells 300/256 long: the weight
@@ -788,6 +845,16 @@ def test_console_entry_point_runs():
                           capture_output=True, text=True, env=env)
     assert proc.returncode == 0
     assert "stable" in proc.stdout
+
+
+def test_cli_imports_neither_dataclasses_nor_inspect():
+    # without site, nothing but cfts itself can have imported them
+    src = os.path.dirname(os.path.dirname(cfts.__file__))
+    code = (f"import sys; sys.path.insert(0, {src!r}); import cfts.cli; "
+            "print('dataclasses' in sys.modules, 'inspect' in sys.modules)")
+    proc = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True,
+                          text=True, check=True)
+    assert proc.stdout.split() == ["False", "False"]
 
 
 def test_cli_imports_only_the_standard_library():
