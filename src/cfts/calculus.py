@@ -236,11 +236,11 @@ def _march_to(ts: TimeScale, a: float, b: float, rate: float,
     return next(kernel_march(ts, (a, b), rate, term)) if b > a else (1.0, 0.0)
 
 
-def _convolved(ts: TimeScale, u: Signal, p: float, tol: float | None):
+def _convolved(ts: TimeScale, u: Signal, p: float):
     """The kernel-march term that convolves u with e_p: mu * u(lo) on a
     scattered cell, ``_u_run_integral`` on a dense one."""
     return lambda lo, hi, mu: (mu * value(u, ts, lo) if mu
-                               else _u_run_integral(ts, u, lo, hi, p, tol))
+                               else _u_run_integral(ts, u, lo, hi, p))
 
 
 def delta_integral(ts: TimeScale, f: Signal, a: float, b: float) -> float:
@@ -251,7 +251,7 @@ def delta_integral(ts: TimeScale, f: Signal, a: float, b: float) -> float:
     a, b = ts.snap(a), ts.snap(b)
     if b < a:
         raise DomainError(f"need a <= b, got a={a}, b={b}")
-    return _march_to(ts, a, b, 0.0, _convolved(ts, f, 0.0, None))[1]
+    return _march_to(ts, a, b, 0.0, _convolved(ts, f, 0.0))[1]
 
 
 def _kernel_breakpoints(lo: float, hi: float, slope: float) -> list[float] | None:
@@ -273,18 +273,17 @@ def _kernel_breakpoints(lo: float, hi: float, slope: float) -> list[float] | Non
     return pts
 
 
-def _u_run_integral(ts: TimeScale, u: Signal, lo: float, hi: float, p: float,
-                    tol: float | None) -> float:
+def _u_run_integral(ts: TimeScale, u: Signal, lo: float, hi: float, p: float) -> float:
     """integral_lo^hi u(tau) exp(p*(hi - tau)) dtau over one dense cell:
     the Closure's exact ``kernel_integral`` when it has one (``constant``,
-    ``sine``), else quadrature to ``tol`` (default QUAD_TOL) split at the
-    kernel breakpoints for a Closure, the midpoint-weighted trapezoid rule
-    on the stored mesh for a Sampled signal."""
+    ``sine``), else quadrature to QUAD_TOL split at the kernel breakpoints
+    for a Closure, the midpoint-weighted trapezoid rule on the stored mesh
+    for a Sampled signal."""
     if isinstance(u, Closure):
         if u.kernel_integral is not None:
             return u.kernel_integral(lo, hi, p)
         return _quad(lambda tau: u.func(tau) * math.exp(p * (hi - tau)), lo, hi,
-                     QUAD_TOL if tol is None else tol, _kernel_breakpoints(lo, hi, -p))
+                     QUAD_TOL, _kernel_breakpoints(lo, hi, -p))
     pts = [lo, *u.between(lo, hi), hi]
     vals = [value(u, ts, t) for t in pts]
     total = 0.0

@@ -19,10 +19,8 @@ comes from one forward kernel march over the mesh (O(n)), and alpha = 1
 uses the classical delta-equation defect.  A maximum residual above
 RESIDUAL_GATE prints a warning with the start-up value of the scenario
 kind (u(0) + lambda*x0 or f(a, x0)) and the likeliest cause (see
-``_self_check``).  The environment variable CFTS_TOL overrides the default
-numeric tolerance (a finite number >= 0; fixed-point stopping, and the
-quadrature of a ``poly`` forcing over dense cells, the only config forcing
-without a closed-form kernel integral; default 1e-10).
+``_self_check``).  No option or environment variable sets a tolerance:
+the solvers read their own (``nonlinear.DEFAULT_TOL``, ``calculus.QUAD_TOL``).
 
 Errors exit with a code and a one-line message on stderr: 2 for a config,
 path or domain error (an arithmetic overflow included, named by its
@@ -42,7 +40,7 @@ import os
 import sys
 from pathlib import Path
 
-from .config import ConfigError, Scenario, _floats, build_rhs, build_signal, parse_config
+from .config import ConfigError, Scenario, build_rhs, build_signal, parse_config
 from .errors import (
     DomainError,
     MaxIterationsExceeded,
@@ -101,7 +99,7 @@ def _alpha_tag(alpha: float) -> str:
 # -- simulate and solve-nonlinear --------------------------------------------
 
 
-def _linear_trajectory(scn: Scenario, alpha: float, tol: float):
+def _linear_trajectory(scn: Scenario, alpha: float):
     """Solve one linear job: the trajectory, its residual column, the
     verdict row when the scenario asks for one (alpha < 1) else None, and
     the start-up value u(0) + lambda*x0."""
@@ -112,23 +110,22 @@ def _linear_trajectory(scn: Scenario, alpha: float, tol: float):
     startup = value(u, scn.ts, 0.0) + scn.lam * scn.x0
     if alpha == 1.0:
         traj = classical_trajectory(scn.ts, scn.lam, u, scn.x0,
-                                    horizon=scn.horizon, steps=scn.steps, tol=tol)
+                                    horizon=scn.horizon, steps=scn.steps)
         # at the last point sigma(t) lies beyond the sampled horizon
         resid = classical_residual_mesh(scn.ts, scn.lam, u, traj) + [math.nan]
         return traj, resid, None, startup
     prob = LinearCFProblem(scn.ts, scn.lam, u, scn.x0, CFOrder(alpha))
-    traj = solve_linear_trajectory(prob, horizon=scn.horizon, steps=scn.steps,
-                                   tol=tol)
+    traj = solve_linear_trajectory(prob, horizon=scn.horizon, steps=scn.steps)
     verdict = _scenario_verdict(scn, alpha) if "verdict" in scn.outputs else None
     return traj, residual_linear_mesh(prob, traj, traj.mesh), verdict, startup
 
 
-def _nonlinear_trajectory(scn: Scenario, alpha: float, tol: float):
+def _nonlinear_trajectory(scn: Scenario, alpha: float):
     """Solve one nonlinear job: the fixed point, its residual column, its
     line of the scenario report, and the start-up value f(a, x0)."""
     prob = NonlinearCFProblem(scn.ts, build_rhs(scn.rhs_spec), scn.lipschitz,
                               scn.window[0], scn.window[1], scn.x0, CFOrder(alpha))
-    result = picard_solve(prob, tol=tol)
+    result = picard_solve(prob)
     traj = result.solution
     line = (f"scenario={scn.name} alpha={_alpha_tag(alpha)} "
             f"q={_fmt(result.contraction_q)} iterations={result.iterations} "
@@ -200,7 +197,7 @@ def verdict_row(lam: float, alpha: float, h: float | None,
             v.p_alpha, v.boundary_values[0], v.boundary_values[1])
 
 
-def _run(config_path: str, out_dir: str, tol: float, kind: str) -> int:
+def _run(config_path: str, out_dir: str, kind: str) -> int:
     """The pipeline of ``simulate`` (kind 'linear') and ``solve-nonlinear``
     (kind 'nonlinear'): solve and check every job, then write."""
     # kind -> (subcommand, job, start-up label and condition); built per
@@ -219,7 +216,7 @@ def _run(config_path: str, out_dir: str, tol: float, kind: str) -> int:
     for scn in scenarios:
         for alpha in scn.alphas:
             try:
-                traj, resid, summary, startup = job(scn, alpha, tol)
+                traj, resid, summary, startup = job(scn, alpha)
             except OverflowError:
                 raise DomainError(f"{scn.name} alpha={_alpha_tag(alpha)}: an "
                                   f"intermediate value overflows the float range"
@@ -245,12 +242,12 @@ def _run(config_path: str, out_dir: str, tol: float, kind: str) -> int:
     return 0
 
 
-def cmd_simulate(config_path: str, out_dir: str, tol: float) -> int:
-    return _run(config_path, out_dir, tol, "linear")
+def cmd_simulate(config_path: str, out_dir: str) -> int:
+    return _run(config_path, out_dir, "linear")
 
 
-def cmd_solve_nonlinear(config_path: str, out_dir: str, tol: float) -> int:
-    return _run(config_path, out_dir, tol, "nonlinear")
+def cmd_solve_nonlinear(config_path: str, out_dir: str) -> int:
+    return _run(config_path, out_dir, "nonlinear")
 
 
 # -- stability --------------------------------------------------------------
@@ -399,13 +396,13 @@ print("wrote", HERE / {png!r})
 """
 
 
-def cmd_figures(which: int, out_dir: str, tol: float, plot_script: bool) -> int:
+def cmd_figures(which: int, out_dir: str, plot_script: bool) -> int:
     text = FIGURE_CONFIGS[which]
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     cfg_path = out / f"fig{which}.config"
     cfg_path.write_text(text)
-    cmd_simulate(str(cfg_path), str(out), tol)
+    cmd_simulate(str(cfg_path), str(out))
     if plot_script:
         files = [f"{scn.name}_alpha{_alpha_tag(a)}.csv"
                  for scn in parse_config(text) for a in scn.alphas]
@@ -468,20 +465,17 @@ _EXITS = (
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        tol = _floats([os.environ.get("CFTS_TOL", "1e-10")], None, "CFTS_TOL")[0]
-        if tol < 0.0:
-            raise ConfigError(f"expected a tolerance >= 0, got {tol:g}", None, "CFTS_TOL")
         if args.command == "simulate":
-            code = cmd_simulate(args.config, args.out, tol)
+            code = cmd_simulate(args.config, args.out)
         elif args.command == "stability":
             lams = _parse_sweep(args.lam, "--lambda")
             alphas = _parse_sweep(args.alpha, "--alpha")
             hs = _parse_sweep(args.h, "--h") if args.h is not None else []
             code = cmd_stability(lams, alphas, hs, args.continuous, args.out)
         elif args.command == "solve-nonlinear":
-            code = cmd_solve_nonlinear(args.config, args.out, tol)
+            code = cmd_solve_nonlinear(args.config, args.out)
         else:
-            code = cmd_figures(args.which, args.out, tol, not args.no_plot_script)
+            code = cmd_figures(args.which, args.out, not args.no_plot_script)
         # a reader that closes stdout early must fail here, inside the try
         sys.stdout.flush()
         return code

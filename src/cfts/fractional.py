@@ -30,7 +30,7 @@ from .calculus import (
     kernel_march,
 )
 from .errors import DomainError, NonRegressiveKernel
-from .signals import Closure, Signal, value
+from .signals import Closure, Signal, as_signal, value
 from .timescale import TimeScale, UniformGrid
 
 
@@ -64,14 +64,15 @@ class CFOrder:
 
 def _dense_weighted(ts: TimeScale, f: Signal, lo: float, hi: float, rate: float) -> float:
     """integral_lo^hi f^delta(tau) exp(rate*(hi - tau)) dtau on a dense cell: a
-    Closure through ``_u_run_integral`` (its exact derivative, else f by parts,
-    which avoids numerical differentiation under the integral), a Sampled
-    signal as its exact cell increments weighted by the midpoint kernel."""
+    Closure through ``_u_run_integral`` (its exact derivative, in closed form
+    when that is a Closure with a kernel integral, else f by parts, which
+    avoids numerical differentiation under the integral), a Sampled signal
+    as its exact cell increments weighted by the midpoint kernel."""
     if isinstance(f, Closure) and f.derivative is not None:
-        return _u_run_integral(ts, Closure(f.derivative), lo, hi, rate, None)
+        return _u_run_integral(ts, as_signal(f.derivative), lo, hi, rate)
     if isinstance(f, Closure):
         return (f.func(hi) - f.func(lo) * math.exp(rate * (hi - lo))
-                + rate * _u_run_integral(ts, f, lo, hi, rate, None))
+                + rate * _u_run_integral(ts, f, lo, hi, rate))
     pts = [lo, *f.between(lo, hi), hi]
     total = 0.0
     for p0, p1 in zip(pts, pts[1:]):

@@ -75,15 +75,14 @@ class LinearCFProblem:
         return self.lam * self.order.alpha / self.k_alpha
 
 
-def _march(prob: LinearCFProblem, mesh: Sequence[float],
-           tol: float | None) -> list[float]:
+def _march(prob: LinearCFProblem, mesh: Sequence[float]) -> list[float]:
     """The closed form at every point of an increasing canonical mesh that
     starts at 0, from one kernel march at rate p over its cells."""
     ts, p, u, x0 = prob.ts, prob.p_alpha, prob.u, prob.x0
     K, alpha = prob.k_alpha, prob.order.alpha
     u_0 = value(u, ts, 0.0)
     xs = [x0]
-    march = kernel_march(ts, mesh, p, _convolved(ts, u, p, tol))
+    march = kernel_march(ts, mesh, p, _convolved(ts, u, p))
     # ep = e_p(t, 0), integral = integral_0^t e_p(t, sigma(tau)) u(tau) dtau
     for t, (ep, integral) in zip(mesh[1:], march):
         xs.append(x0
@@ -100,7 +99,7 @@ def solve_linear(prob: LinearCFProblem, t: float) -> float:
     if t < 0.0:
         raise DomainError("the solution formula is for t >= 0")
     zero = ts.snap(0.0)
-    return _march(prob, (zero, t) if t > zero else (zero,), None)[-1]
+    return _march(prob, (zero, t) if t > zero else (zero,))[-1]
 
 
 def _resolve_mesh(ts: TimeScale, horizon: float | None, steps: int | None,
@@ -121,11 +120,11 @@ def _resolve_mesh(ts: TimeScale, horizon: float | None, steps: int | None,
 
 
 def solve_linear_trajectory(prob: LinearCFProblem, horizon: float | None = None,
-                            steps: int | None = None, max_step: float | None = None,
-                            tol: float | None = None) -> Sampled:
+                            steps: int | None = None,
+                            max_step: float | None = None) -> Sampled:
     """Solution sampled on the mesh of [0, horizon] via one-step recurrences."""
     mesh = _resolve_mesh(prob.ts, horizon, steps, max_step)
-    return Sampled(mesh, tuple(_march(prob, mesh, tol)))
+    return Sampled(mesh, tuple(_march(prob, mesh)))
 
 
 def residual_linear_mesh(prob: LinearCFProblem, x: Signal,
@@ -150,12 +149,11 @@ def residual_linear(prob: LinearCFProblem, x: Signal, t: float) -> float:
 
 
 def classical_trajectory(ts: TimeScale, lam: float, u, x0: float,
-                         horizon: float | None = None, steps: int | None = None,
-                         tol: float | None = None) -> Sampled:
+                         horizon: float | None = None, steps: int | None = None) -> Sampled:
     """Exact trajectory of the classical delta equation x^delta = lambda*x + u.
 
     Scattered steps use the exact recurrence x' = x + mu*(lambda*x + u);
-    dense steps use the variation-of-constants formula with quadrature.
+    dense steps use the variation-of-constants formula (``_u_run_integral``).
     This is the alpha = 1 limit of the fractional equation.
     """
     u = as_signal(u)
@@ -167,7 +165,7 @@ def classical_trajectory(ts: TimeScale, lam: float, u, x0: float,
             xs.append(x + mu * (lam * x + value(u, ts, lo)))
         else:
             grow = math.exp(lam * (hi - lo))
-            forced = _u_run_integral(ts, u, lo, hi, lam, tol)
+            forced = _u_run_integral(ts, u, lo, hi, lam)
             xs.append(grow * x + forced)
     return Sampled(mesh, tuple(xs))
 

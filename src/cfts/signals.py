@@ -11,6 +11,9 @@ exp(p*(hi - tau)) dtau is d*phi1(z) with d = hi - lo and z = p*d, times c,
 or the imaginary part of amp*exp(i*(freq*hi + phase))*d*phi1(z) with
 z = (p - i*freq)*d, where phi1(z) = (e^z - 1)/z is the weight of
 exponential integrators (Hochbruck & Ostermann, Acta Numerica 19, 2010).
+Their derivatives are Closures too, with the same closed forms (0, and the
+real part of amp*freq*exp(i*(freq*hi + phase))*d*phi1(z)), so the
+fractional operators integrate them on dense cells without quadrature.
 """
 
 from __future__ import annotations
@@ -28,11 +31,13 @@ from .timescale import TimeScale, _atol
 class Closure:
     """Signal given by a function t -> value.
 
-    ``derivative``, when present, is the exact ordinary derivative; it is
-    consulted only at dense points (scattered points always use the exact
-    difference quotient).  ``kernel_integral(lo, hi, p)``, when present, is
-    the exact integral_lo^hi func(tau) exp(p*(hi - tau)) dtau over a dense
-    cell, used there in place of quadrature.
+    ``derivative``, when present, is the exact ordinary derivative, a
+    callable or a Closure (whose kernel integral the fractional operators
+    then use); it is consulted only at dense points (scattered points
+    always use the exact difference quotient).
+    ``kernel_integral(lo, hi, p)``, when present, is the exact
+    integral_lo^hi func(tau) exp(p*(hi - tau)) dtau over a dense cell, used
+    there in place of quadrature.
     """
 
     func: Callable[[float], float]
@@ -98,6 +103,10 @@ def _phi1(z: complex) -> complex:
                    math.exp(x) * math.sin(y)) / z
 
 
+#: The derivative of a constant, with its zero kernel integral.
+_ZERO = Closure(lambda t: 0.0, kernel_integral=lambda lo, hi, p: 0.0)
+
+
 def constant(c: float) -> Closure:
     c = float(c)
 
@@ -105,22 +114,45 @@ def constant(c: float) -> Closure:
         d = hi - lo
         return c * d * _phi1(p * d).real
 
-    return Closure(lambda t: c, derivative=lambda t: 0.0,
-                   kernel_integral=kernel_integral)
+    return Closure(lambda t: c, derivative=_ZERO, kernel_integral=kernel_integral)
 
 
 def sine(amp: float, freq: float, phase: float) -> Closure:
-    """amp*sin(freq*t + phase), with its derivative and kernel integral."""
+    """amp*sin(freq*t + phase), with its derivative and kernel integral.
+
+    A phase freq*t + phase, or a cell's turn freq*(hi - lo), that is not
+    finite raises OverflowError (math.sin and math.cos raise ValueError).
+    """
+
+    def wave(trig, scale):
+        def at(t):
+            try:
+                return scale * trig(freq * t + phase)
+            except ValueError:
+                raise OverflowError(f"the sine phase at t={t!r} is not finite") from None
+        return at
+
+    def turn(lo, hi, p):
+        """sin and cos of the phase at hi, and d*phi1((p - i*freq)*d), d = hi - lo."""
+        d = hi - lo
+        theta = freq * hi + phase
+        try:
+            return (math.sin(theta), math.cos(theta),
+                    d * _phi1(complex(p * d, -freq * d)))
+        except ValueError:
+            raise OverflowError(f"the sine phase on [{lo!r}, {hi!r}] is not finite"
+                                ) from None
 
     def kernel_integral(lo, hi, p):
-        d = hi - lo
-        w = d * _phi1(complex(p * d, -freq * d))
-        theta = freq * hi + phase
-        return amp * (math.sin(theta) * w.real + math.cos(theta) * w.imag)
+        s, c, w = turn(lo, hi, p)
+        return amp * (s * w.real + c * w.imag)
 
-    return Closure(lambda t: amp * math.sin(freq * t + phase),
-                   derivative=lambda t: amp * freq * math.cos(freq * t + phase),
-                   kernel_integral=kernel_integral)
+    def slope_kernel_integral(lo, hi, p):
+        s, c, w = turn(lo, hi, p)
+        return amp * freq * (c * w.real - s * w.imag)
+
+    slope = Closure(wave(math.cos, amp * freq), kernel_integral=slope_kernel_integral)
+    return Closure(wave(math.sin, amp), derivative=slope, kernel_integral=kernel_integral)
 
 
 def value(sig: Signal, ts: TimeScale, t: float) -> float:

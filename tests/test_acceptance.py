@@ -367,7 +367,7 @@ def test_criterion_10_self_verifying_outputs():
     with tempfile.TemporaryDirectory() as tmp:
         out = Path(tmp)
         for which in (1, 2, 3):
-            assert cmd_figures(which, tmp, 1e-10, plot_script=False) == 0
+            assert cmd_figures(which, tmp, plot_script=False) == 0
             for scn in parse_config((out / f"fig{which}.config").read_text()):
                 (grid,) = scn.ts.segments
                 h = grid.step

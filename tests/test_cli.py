@@ -1,3 +1,4 @@
+import ast
 import csv
 import hashlib
 import math
@@ -6,6 +7,7 @@ import random
 import subprocess
 import sys
 from bisect import bisect
+from pathlib import Path
 
 import pytest
 
@@ -302,17 +304,21 @@ class TestSimulate:
                  .replace("lambda = 0.2", "lambda = 5").replace("x0 = -5", "x0 = 0")
                  .replace("0.25 0.5", alphas).replace("steps 30", steps)
                  for alphas, steps in (("0.9 1", "steps 500"), ("0.9", "steps 308"))]
-        # math.exp overflows in a dense cell's kernel growth, and float ** in
-        # the forcing polynomial at t = 2e200
+        # math.exp overflows in a dense cell's kernel growth, float ** in
+        # the forcing polynomial at t = 2e200, and a sine's phase 1e300*t
         texts += ["[scenario big]\nsegment = interval 0 10000\nequation = linear\n"
                   "lambda = 1.9\nu = constant 1\nx0 = 0\nalpha = 0.5\n"
                   "horizon = time 10000\n",
                   "[scenario huge]\nsegment = grid 0 1e200 3\nequation = linear\n"
                   "lambda = 0.2\nu = poly 0 0 1\nx0 = 0\nalpha = 0.5\n"
-                  "horizon = steps 2\n"]
+                  "horizon = steps 2\n",
+                  "[scenario big]\nsegment = interval 0 1e300\nequation = linear\n"
+                  "lambda = -0.5\nu = sin 1 1e300 0\nx0 = 0\nalpha = 0.5\n"
+                  "horizon = time 1e300\n"]
         cfg = tmp_path / "blow.config"
         for text, job in zip(texts, ("demo alpha=0.9", "demo alpha=0.9",
-                                     "big alpha=0.5", "huge alpha=0.5")):
+                                     "big alpha=0.5", "huge alpha=0.5",
+                                     "big alpha=0.5")):
             cfg.write_text(text)
             out = tmp_path / "out"
             rc = main(["simulate", str(cfg), "--out", str(out)])
@@ -644,6 +650,19 @@ class TestSolveNonlinear:
         assert "not contractive" in err
         assert "window" in err
 
+    def test_iteration_budget_exit_code(self, tmp_path, capsys):
+        # q = 0.98 admits the window, but each point's map contracts only by
+        # (1 - alpha)*L = 0.9801: 200 iterations shrink the update about 50-fold,
+        # far short of the default tolerance
+        cfg = tmp_path / "slow.config"
+        cfg.write_text("[scenario slow]\nsegment = grid 0 0.01 3\nequation = nonlinear\n"
+                       "rhs = affine -0.99 1\nlipschitz = 0.99\nx0 = 0\n"
+                       "window = 0 0.02\nalpha = 0.01\n")
+        out = tmp_path / "out"
+        rc = main(["solve-nonlinear", str(cfg), "--out", str(out)])
+        assert _one_line_error(rc, capsys, code=4) == "iteration budget spent"
+        assert not out.exists()
+
     def test_linear_scenario_redirected(self, tmp_path):
         cfg = tmp_path / "demo.config"
         cfg.write_text(LINEAR_CONFIG)
@@ -794,47 +813,40 @@ class TestFigures:
         assert got == FIGURE_SHA256
 
 
-class TestEnvironmentOverride:
-    def test_cfts_tol_is_honored(self, tmp_path, monkeypatch):
-        cfg = tmp_path / "fp.config"
-        cfg.write_text(NONLINEAR_CONFIG.replace("x0 = -5", "x0 = 0"))
-        monkeypatch.setenv("CFTS_TOL", "1e-2")
-        main(["solve-nonlinear", str(cfg), "--out", str(tmp_path)])
-        loose = int((tmp_path / "fp_report.txt").read_text()
-                    .split("iterations=")[1].split()[0])
-        monkeypatch.setenv("CFTS_TOL", "1e-12")
-        main(["solve-nonlinear", str(cfg), "--out", str(tmp_path)])
-        tight = int((tmp_path / "fp_report.txt").read_text()
-                    .split("iterations=")[1].split()[0])
-        assert loose < tight
+class TestNoEnvironmentKnob:
+    def test_cfts_tol_is_ignored(self, tmp_path, monkeypatch, capsys):
+        # a run's bytes depend on its config alone: CFTS_TOL reaches neither
+        # the quadrature of a poly forcing nor the fixed-point stop
+        cfg = tmp_path / "in.config"
+        runs = (("simulate", "[scenario poly]\nsegment = interval 0 2\n"
+                             "equation = linear\nlambda = -0.5\nu = poly 0 1 0.5\n"
+                             "x0 = 0\nalpha = 0.5 1\nhorizon = time 2\n"),
+                ("solve-nonlinear", FINE_NONLINEAR_CONFIG))
 
-    def test_bad_cfts_tol(self, tmp_path, monkeypatch, capsys):
-        monkeypatch.setenv("CFTS_TOL", "tiny")
-        assert main(["stability", "--lambda", "1", "--alpha", "0.5",
-                     "--h", "1"]) == 2
+        def outputs(tag):
+            got = {}
+            for command, text in runs:
+                cfg.write_text(text)
+                out = tmp_path / tag / command
+                assert main([command, str(cfg), "--out", str(out)]) == 0
+                got.update({(command, f.name): f.read_bytes() for f in out.iterdir()})
+            return got, capsys.readouterr()
 
-    def test_non_finite_cfts_tol(self, monkeypatch, capsys):
-        monkeypatch.setenv("CFTS_TOL", "inf")
-        assert _one_line_error(main(["stability", "--lambda", "1", "--alpha", "0.5",
-                                     "--h", "1"]), capsys) == "config error"
+        monkeypatch.delenv("CFTS_TOL", raising=False)
+        unset = outputs("unset")
+        for env in ("-1", "tiny"):
+            monkeypatch.setenv("CFTS_TOL", env)
+            assert outputs(env) == unset
 
-    def test_negative_cfts_tol(self, tmp_path, monkeypatch, capsys):
-        cfg = tmp_path / "sin.config"
-        cfg.write_text(FINE_NONLINEAR_CONFIG)
-        monkeypatch.setenv("CFTS_TOL", "-1")
-        assert _one_line_error(main(["solve-nonlinear", str(cfg), "--out", str(tmp_path)]),
-                               capsys) == "config error"
-        assert not list(tmp_path.glob("*.csv"))
-
-    def test_zero_cfts_tol_spends_the_iteration_budget(self, tmp_path, monkeypatch, capsys):
-        # the update stalls at round-off, so a zero tolerance is never met
-        cfg = tmp_path / "affine.config"
-        cfg.write_text(FINE_NONLINEAR_CONFIG.replace("sin_x 0.8", "affine -0.7 0.2")
-                       .replace("lipschitz = 0.8", "lipschitz = 0.9")
-                       .replace("x0 = 1", "x0 = 0"))
-        monkeypatch.setenv("CFTS_TOL", "0")
-        rc = main(["solve-nonlinear", str(cfg), "--out", str(tmp_path)])
-        assert _one_line_error(rc, capsys, code=4) == "iteration budget spent"
+    def test_no_module_reads_the_environment(self):
+        # a run depends on its arguments and config alone: no environment knob
+        package = Path(cfts.__file__).parent
+        reads = [f"{path.name}:{node.lineno}" for path in sorted(package.glob("*.py"))
+                 for node in ast.walk(ast.parse(path.read_text()))
+                 if (node.attr if isinstance(node, ast.Attribute)
+                     else node.name if isinstance(node, ast.alias) else None)
+                 in ("environ", "environb", "getenv", "getenvb")]
+        assert reads == []
 
 
 def test_console_entry_point_runs():

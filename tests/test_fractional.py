@@ -19,7 +19,7 @@ from cfts.fractional import (
     cf_integral,
 )
 from cfts.linear import LinearCFProblem, residual_linear_mesh, solve_linear_trajectory
-from cfts.signals import Closure, Sampled, constant
+from cfts.signals import Closure, Sampled, constant, sine
 from cfts.timescale import ContinuousInterval, IsolatedPoint, TimeScale, UniformGrid
 
 from .oracles import oracle_cf_delta_discrete, oracle_cf_delta_interval, oracle_cf_integral_discrete
@@ -500,3 +500,29 @@ class TestLimitBehavior:
         want = oracle_cf_delta_discrete(samples, 1.0, 0.999, 0, 5)
         got = cf_delta_left(TimeScale.integers(0, 20), f, 0.0, 5.0, CFOrder(0.999))
         assert got == pytest.approx(want, rel=1e-10)
+
+
+class TestConfigForcingsInClosedForm:
+    """constant and sine carry their derivative's kernel integral, so the
+    fractional operators integrate them on dense cells without quadrature."""
+
+    def test_no_quadrature(self, monkeypatch):
+        calls = []
+        quad = cfts.calculus._quad
+        monkeypatch.setattr(cfts.calculus, "_quad",
+                            lambda *args, **kw: calls.append(args) or quad(*args, **kw))
+        order, mesh = CFOrder(0.5), [0.0, 0.5, 1.0]
+        wave = sine(1.0, 2.0, 0.0)
+        # rate -1, front 2: D_left sin(2t) = (4/5)(cos 2t + 2 sin 2t - e^-t),
+        # D_right over [0, 1] = (4/5)(e (cos 2 + 2 sin 2) - 1)
+        left = [0.8 * (math.cos(2 * t) + 2 * math.sin(2 * t) - math.exp(-t)) for t in mesh]
+        right = 0.8 * (math.e * (math.cos(2.0) + 2 * math.sin(2.0)) - 1.0)
+        assert abs(cf_delta_left(I01, wave, 0.0, 1.0, order) - 0.8276548607462231) <= 1e-10
+        got = cf_delta_left_prefix(I01, wave, mesh, order)
+        assert all(abs(g - w) <= 1e-10 for g, w in zip(got, left))
+        assert abs(cf_delta_right(I01, wave, 0.0, 1.0, order) - right) <= 1e-10
+        flat = constant(3.0)
+        assert cf_delta_left(I01, flat, 0.0, 1.0, order) == 0.0
+        assert cf_delta_left_prefix(I01, flat, mesh, order) == [0.0, 0.0, 0.0]
+        assert cf_delta_right(I01, flat, 0.0, 1.0, order) == 0.0
+        assert calls == []
