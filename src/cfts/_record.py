@@ -1,4 +1,5 @@
-"""``record``: the frozen value-class decorator of the package.
+"""``record``, the frozen value-class decorator of the package, and
+``keep_last``, the one-entry memo of its shared walks.
 
 It gives a class what ``dataclasses.dataclass(frozen=True)`` gave it, built
 from closures over the annotated field names, so that importing cfts does
@@ -9,6 +10,11 @@ one; field-wise ``==`` and ``hash`` between instances of the same class;
 the ``Name(field=value, ...)`` repr; and ``AttributeError`` on assignment
 or deletion.  Instances keep a ``__dict__``, so ``functools.cached_property``
 and ``object.__setattr__`` in ``__post_init__`` work as before.
+
+``keep_last`` keeps a pure function's last result on its first argument
+for the next call with the same arguments: the one mesh, walk of cells
+and forcing column that a scenario's trajectories and residuals, one per
+alpha, all use.
 """
 
 from __future__ import annotations
@@ -66,3 +72,27 @@ def record(cls):
     for fn in (__init__, __eq__, __hash__, __repr__, __setattr__, __delattr__):
         setattr(cls, fn.__name__, fn)
     return cls
+
+
+def keep_last(fn):
+    """Wrap a pure function whose first argument is a record (a scale, a
+    signal) so that the record keeps the last result, in one slot of its
+    ``__dict__`` as a ``cached_property`` does, for the next call with the
+    very same argument objects.  Identity, not ``==``, decides: two meshes
+    equal as numbers may differ in the sign of a zero.  The result is
+    shared, so it must be immutable."""
+    slot = f"_last_{fn.__name__}"
+
+    def wrapper(owner, *args):
+        hit = owner.__dict__.get(slot)
+        if hit is not None and len(hit[0]) == len(args) and all(
+                a is b for a, b in zip(hit[0], args)):
+            return hit[1]
+        out = fn(owner, *args)
+        owner.__dict__[slot] = (args, out)
+        return out
+
+    wrapper.__wrapped__ = fn
+    wrapper.__name__ = fn.__name__
+    wrapper.__doc__ = fn.__doc__
+    return wrapper

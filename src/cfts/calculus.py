@@ -9,11 +9,14 @@ quadrature, and numerical differentiation with Richardson extrapolation.
 The quadrature is the adaptive Gauss--Kronrod G7/K15 rule of QUADPACK
 (``qk15`` with a global queue of subintervals; Piessens, de
 Doncker-Kapenga, Ueberhuber & Kahaner, QUADPACK, Springer 1983), written
-against the standard library.  ``kernel_march`` is the one walk over
-``TimeScale.cells`` that carries an exponential kernel: the exponential,
-the delta integral (rate 0), both fractional operators and the linear
-closed form run on it, with ``_u_run_integral`` as the one integral of a
-dense cell.
+against the standard library.  ``kernel_march`` is the one recurrence
+that carries an exponential kernel: the exponential, the delta integral
+(rate 0), both fractional operators and the linear closed form run on it,
+with ``_u_run_integral`` as the one integral of a dense cell.  It is
+columnar: a caller takes the cells of its mesh from ``_walk`` (the one
+owner of ``TimeScale.cells``, which keeps its last walk for the next march
+on the same mesh), builds its term column with one comprehension over
+them, and the march runs (e, S) <- (g*e, g*S + c) in one loop.
 """
 
 from __future__ import annotations
@@ -21,8 +24,9 @@ from __future__ import annotations
 import heapq
 import math
 import sys
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Sequence
 
+from ._record import keep_last
 from .errors import (
     DenseDerivativeUnavailable,
     DomainError,
@@ -30,7 +34,7 @@ from .errors import (
     OutsideKappaDomain,
     QuadratureNonConvergence,
 )
-from .signals import Closure, Sampled, Signal, sampled_slope, value
+from .signals import Closure, Sampled, Signal, _phi1, sampled_slope, value
 from .timescale import TimeScale
 
 #: Absolute tolerance for quadrature over continuous runs.
@@ -199,48 +203,67 @@ def _growth(rate: float, lo: float, hi: float, mu: float) -> float:
     return 1.0 + mu * rate if mu else math.exp(rate * (hi - lo))
 
 
-def kernel_march(ts: TimeScale, mesh: Sequence[float], rate: float,
-                 term: Callable[[float, float, float], float]
-                 ) -> Iterator[tuple[float, float]]:
-    """Walk the cells of an increasing canonical mesh once and yield
+Cell = tuple[float, float, float]
+
+
+@keep_last
+def _walk(ts: TimeScale, mesh: tuple[float, ...]) -> tuple[tuple[Cell, ...], tuple[float, ...]]:
+    """The cells of an increasing canonical mesh (``TimeScale.cells``; none
+    for a one-point span) and their ends: the first lo, then every hi.
+    The ends equal the mesh iff the cells are its steps.  The scale keeps
+    its last walk, so the trajectory, the residual and the classical walks
+    of one scenario, at every alpha, share one."""
+    cells = tuple(ts.cells(mesh))
+    return cells, tuple([cells[0][0], *[hi for _, hi, _ in cells]] if cells else ())
+
+
+def kernel_march(cells: Sequence[Cell], mesh: Sequence[float], rate: float,
+                 terms: Sequence[float]) -> list[tuple[float, float]]:
+    """Step (e, S) over the cells of an increasing canonical mesh and return
     (e_rate(t, mesh[0]), S(t)) at each mesh point t after the first.
 
-    Each cell steps (e, S) <- (grow*e, grow*S + term(lo, hi, mu)) with
-    grow = e_rate(hi, lo): 1 + mu*rate on a scattered cell, exp(rate*(hi - lo))
-    on a dense one.  For a term that integrates g(tau) e_rate(hi, sigma(tau))
-    over the cell, the semigroup identity (Bohner & Peterson, Dynamic
-    Equations on Time Scales, 2001, Thm 2.36) makes S(t) the convolution
-    integral_{mesh[0]}^t g(tau) e_rate(t, sigma(tau)) dtau, in O(n) for the
-    whole mesh.  The term checks regressivity where a caller needs it.
-    A mesh point that is off the scale or repeated is never reached by a
-    cell; the walk then ends in DomainError instead of a short column.
+    ``cells`` are the cells of the mesh (``TimeScale.cells(mesh)``) and
+    ``terms`` their term column, one number per cell; columns of different
+    lengths raise ValueError.  Each cell steps (e, S) <- (g*e, g*S + c)
+    with g = e_rate(hi, lo): 1 + mu*rate on a scattered cell,
+    exp(rate*(hi - lo)) on a dense one.  For terms that
+    integrate h(tau) e_rate(hi, sigma(tau)) over each cell, the semigroup
+    identity (Bohner & Peterson, Dynamic Equations on Time Scales, 2001,
+    Thm 2.36) makes S(t) the convolution
+    integral_{mesh[0]}^t h(tau) e_rate(t, sigma(tau)) dtau, in O(n) for the
+    whole mesh.  A mesh point that is off the scale or repeated is never
+    reached by a cell; the march then ends in DomainError instead of a
+    short column.
     """
+    exp = math.exp
     e, S = 1.0, 0.0
-    k = 1  # next mesh index to emit
-    for lo, hi, mu in ts.cells(mesh):
-        grow = _growth(rate, lo, hi, mu)
-        e *= grow
-        S = grow * S + term(lo, hi, mu)
+    out = []
+    k = 1  # next mesh index to reach
+    for (lo, hi, mu), c in zip(cells, terms, strict=True):
+        g = 1.0 + mu * rate if mu else exp(rate * (hi - lo))
+        e *= g
+        S = g * S + c
         if hi == mesh[k]:
-            yield e, S
+            out.append((e, S))
             k += 1
     if k < len(mesh):
         raise DomainError(f"mesh point {mesh[k]!r} is not a canonical point of "
                           f"the scale after {mesh[k - 1]!r}")
+    return out
 
 
-def _march_to(ts: TimeScale, a: float, b: float, rate: float,
-              term: Callable[[float, float, float], float]) -> tuple[float, float]:
-    """(e_rate(b, a), S(b)) of the kernel march over the canonical span
-    [a, b]; (1, 0) when a == b."""
-    return next(kernel_march(ts, (a, b), rate, term)) if b > a else (1.0, 0.0)
+def _convolution_terms(ts: TimeScale, u: Signal, cells: Sequence[Cell],
+                       u_lo: Sequence[float], p: float) -> list[float]:
+    """The term column that convolves u with e_p: mu * u(lo) on a scattered
+    cell, ``_u_run_integral`` on a dense one; ``u_lo`` holds u at each
+    cell's lo (any number at a dense cell)."""
+    return [mu * v if mu else _u_run_integral(ts, u, lo, hi, p)
+            for (lo, hi, mu), v in zip(cells, u_lo)]
 
 
-def _convolved(ts: TimeScale, u: Signal, p: float):
-    """The kernel-march term that convolves u with e_p: mu * u(lo) on a
-    scattered cell, ``_u_run_integral`` on a dense one."""
-    return lambda lo, hi, mu: (mu * value(u, ts, lo) if mu
-                               else _u_run_integral(ts, u, lo, hi, p))
+def _scattered_lo(ts: TimeScale, u: Signal, cells: Sequence[Cell]) -> list[float]:
+    """u at the lo of every scattered cell, 0.0 at a dense one."""
+    return [value(u, ts, lo) if mu else 0.0 for lo, _, mu in cells]
 
 
 def delta_integral(ts: TimeScale, f: Signal, a: float, b: float) -> float:
@@ -251,7 +274,11 @@ def delta_integral(ts: TimeScale, f: Signal, a: float, b: float) -> float:
     a, b = ts.snap(a), ts.snap(b)
     if b < a:
         raise DomainError(f"need a <= b, got a={a}, b={b}")
-    return _march_to(ts, a, b, 0.0, _convolved(ts, f, 0.0))[1]
+    cells, _ = _walk(ts, (a, b))
+    if not cells:
+        return 0.0
+    terms = _convolution_terms(ts, f, cells, _scattered_lo(ts, f, cells), 0.0)
+    return kernel_march(cells, (a, b), 0.0, terms)[-1][1]
 
 
 def _kernel_breakpoints(lo: float, hi: float, slope: float) -> list[float] | None:
@@ -273,12 +300,26 @@ def _kernel_breakpoints(lo: float, hi: float, slope: float) -> list[float] | Non
     return pts
 
 
+def _psi(z: float, phi1: float) -> float:
+    """psi(z) = integral_0^1 x e^(z*x) dx = (e^z - phi1(z))/z, the weight of
+    a linear interpolant's slope against an exponential; below |z| = 1e-2,
+    where that difference cancels, its Taylor series sum z^k/(k!(k+2))."""
+    if abs(z) < 1e-2:
+        return 1 / 2 + z * (1 / 3 + z * (1 / 8 + z * (1 / 30 + z * (
+            1 / 144 + z * (1 / 840 + z / 5760)))))
+    return (math.exp(z) - phi1) / z
+
+
 def _u_run_integral(ts: TimeScale, u: Signal, lo: float, hi: float, p: float) -> float:
     """integral_lo^hi u(tau) exp(p*(hi - tau)) dtau over one dense cell:
     the Closure's exact ``kernel_integral`` when it has one (``constant``,
     ``sine``), else quadrature to QUAD_TOL split at the kernel breakpoints
-    for a Closure, the midpoint-weighted trapezoid rule on the stored mesh
-    for a Sampled signal."""
+    for a Closure.  A Sampled signal is its linear interpolant, integrated
+    exactly against the kernel on each piece [p0, p1] of the stored mesh:
+    d*E*(v1*phi1(z) - (v1 - v0)*psi(z)) with d = p1 - p0, z = p*d and
+    E = exp(p*(hi - p1)), the weights of exponential time differencing
+    (Cox & Matthews, J. Comput. Phys. 176, 2002), so a steep kernel keeps
+    its mass next to hi."""
     if isinstance(u, Closure):
         if u.kernel_integral is not None:
             return u.kernel_integral(lo, hi, p)
@@ -288,7 +329,10 @@ def _u_run_integral(ts: TimeScale, u: Signal, lo: float, hi: float, p: float) ->
     vals = [value(u, ts, t) for t in pts]
     total = 0.0
     for p0, p1, v0, v1 in zip(pts, pts[1:], vals, vals[1:]):
-        total += 0.5 * (v0 + v1) * math.exp(p * (hi - 0.5 * (p0 + p1))) * (p1 - p0)
+        d = p1 - p0
+        z = p * d
+        phi = _phi1(z).real
+        total += d * math.exp(p * (hi - p1)) * (v1 * phi - (v1 - v0) * _psi(z, phi))
     return total
 
 
@@ -301,6 +345,15 @@ def _kills(mu: float, p: float) -> bool:
     return abs(1.0 + mu * p) <= 1e-14 * max(1.0, abs(mu * p))
 
 
+def _first_killed(cells: Sequence[Cell], p: float) -> int:
+    """The index of the first cell whose factor 1 + mu*p vanishes, or
+    len(cells); each distinct graininess is tested once."""
+    dead = {mu for mu in {mu for _, _, mu in cells} if _kills(mu, p)}
+    if not dead:
+        return len(cells)
+    return next(k for k, (_, _, mu) in enumerate(cells) if mu in dead)
+
+
 def exp_ts(ts: TimeScale, p: float, t: float, t0: float) -> float:
     """Time-scale exponential e_p(t, t0) for a constant p: the kernel march's
     product of 1 + mu*p over the scattered points of [t0, t) and exp(p*len)
@@ -309,11 +362,9 @@ def exp_ts(ts: TimeScale, p: float, t: float, t0: float) -> float:
     t, t0 = ts.snap(t), ts.snap(t0)
     if t < t0:
         return 1.0 / exp_ts(ts, p, t0, t)
-
-    def term(lo, hi, mu):
-        if _kills(mu, p):
-            raise NonRegressiveParameter(
-                f"1 + mu*p vanishes at t={lo!r} (mu={mu!r}, p={p!r})")
-        return 0.0
-
-    return _march_to(ts, t0, t, p, term)[0]
+    cells, _ = _walk(ts, (t0, t))
+    k = _first_killed(cells, p)
+    if k < len(cells):
+        lo, _, mu = cells[k]
+        raise NonRegressiveParameter(f"1 + mu*p vanishes at t={lo!r} (mu={mu!r}, p={p!r})")
+    return kernel_march(cells, (t0, t), p, [0.0] * len(cells))[-1][0] if cells else 1.0

@@ -40,7 +40,14 @@ import os
 import sys
 from pathlib import Path
 
-from .config import ConfigError, Scenario, build_rhs, build_signal, parse_config
+from .config import (
+    ConfigError,
+    Scenario,
+    alpha_tag,
+    build_rhs,
+    build_signal,
+    parse_config,
+)
 from .errors import (
     DomainError,
     MaxIterationsExceeded,
@@ -85,29 +92,38 @@ def _fmt(v) -> str:
     return f"{v:.17g}"
 
 
-def _write_csv(path: Path, header, rows) -> None:
-    text = "".join([",".join(header) + "\n",
-                    *[",".join(map(_fmt, row)) + "\n" for row in rows]])
+def _write_csv(path: Path, header, body: str) -> None:
     with open(path, "w", newline="") as fh:
-        fh.write(text)
+        fh.write(",".join(header) + "\n" + body)
 
 
-def _alpha_tag(alpha: float) -> str:
-    return f"{alpha:g}"
+def _trajectory_rows(t_strings, xs, residuals) -> str:
+    """t,x,residual lines, the t column given formatted, with one ``%`` over
+    a flat tuple: "%.17g" gives the bytes of ``_fmt``, nan, inf and -0
+    included."""
+    flat = [None] * (3 * len(xs))
+    flat[0::3], flat[1::3], flat[2::3] = t_strings, xs, residuals
+    return ("%s,%.17g,%.17g\n" * len(xs)) % tuple(flat)
 
 
 # -- simulate and solve-nonlinear --------------------------------------------
 
 
-def _linear_trajectory(scn: Scenario, alpha: float):
-    """Solve one linear job: the trajectory, its residual column, the
-    verdict row when the scenario asks for one (alpha < 1) else None, and
-    the start-up value u(0) + lambda*x0."""
+def _linear_forcing(scn: Scenario):
+    """The forcing of a linear scenario, built once for all its alphas, and
+    its start-up value u(0) + lambda*x0."""
     # a sample table is given on the run mesh
     mesh = (_resolve_mesh(scn.ts, scn.horizon, scn.steps, None)
             if scn.u_spec[0] == "samples" else None)
     u = build_signal(scn.u_spec, mesh)
-    startup = value(u, scn.ts, 0.0) + scn.lam * scn.x0
+    return u, value(u, scn.ts, 0.0) + scn.lam * scn.x0
+
+
+def _linear_trajectory(scn: Scenario, alpha: float, forcing):
+    """Solve one linear job: the trajectory, its residual column, the
+    verdict row when the scenario asks for one (alpha < 1) else None, and
+    the start-up value."""
+    u, startup = forcing
     if alpha == 1.0:
         traj = classical_trajectory(scn.ts, scn.lam, u, scn.x0,
                                     horizon=scn.horizon, steps=scn.steps)
@@ -120,14 +136,14 @@ def _linear_trajectory(scn: Scenario, alpha: float):
     return traj, residual_linear_mesh(prob, traj, traj.mesh), verdict, startup
 
 
-def _nonlinear_trajectory(scn: Scenario, alpha: float):
+def _nonlinear_trajectory(scn: Scenario, alpha: float, rhs):
     """Solve one nonlinear job: the fixed point, its residual column, its
     line of the scenario report, and the start-up value f(a, x0)."""
-    prob = NonlinearCFProblem(scn.ts, build_rhs(scn.rhs_spec), scn.lipschitz,
+    prob = NonlinearCFProblem(scn.ts, rhs, scn.lipschitz,
                               scn.window[0], scn.window[1], scn.x0, CFOrder(alpha))
     result = picard_solve(prob)
     traj = result.solution
-    line = (f"scenario={scn.name} alpha={_alpha_tag(alpha)} "
+    line = (f"scenario={scn.name} alpha={alpha_tag(alpha)} "
             f"q={_fmt(result.contraction_q)} iterations={result.iterations} "
             f"final_defect={_fmt(result.final_defect)}")
     return (traj, residual_nonlinear_mesh(prob, traj, traj.mesh), line,
@@ -151,7 +167,7 @@ def _self_check(scn: Scenario, alpha: float, traj, residuals,
     classical equation, which has no start-up defect), else dense-run
     discretization when the trajectory spans part of a continuous
     interval, else a divergent kernel that amplifies rounding."""
-    worst = max((abs(r) for r in residuals if math.isfinite(r)), default=0.0)
+    worst = max(map(abs, filter(math.isfinite, residuals)), default=0.0)
     if worst < RESIDUAL_GATE:
         return
     ts = scn.ts
@@ -168,18 +184,22 @@ def _self_check(scn: Scenario, alpha: float, traj, residuals,
         cause = "rounding amplified by a kernel base |1 + mu*alpha_bar| > 1"
     else:
         cause = "no start-up defect, dense run or divergent kernel explains it"
-    print(f"warning: {scn.name} alpha={_alpha_tag(alpha)}: max |residual| = "
+    print(f"warning: {scn.name} alpha={alpha_tag(alpha)}: max |residual| = "
           f"{worst:.3g} exceeds {RESIDUAL_GATE:g} ({label} = {startup:.3g}; "
           f"{cause})", file=sys.stderr)
 
 
 def _require_finite(name: str, alpha: float, traj, residuals) -> None:
     """Reject a run that left the float range before any CSV is written;
-    the NaN residual in the last row of an alpha = 1 run is by design."""
+    the NaN residual in the last row of an alpha = 1 run is by design.
+    Only a failing run walks its rows, to name the first bad t."""
+    checked = residuals[:-1] if alpha == 1.0 else residuals
+    if all(map(math.isfinite, traj.values)) and all(map(math.isfinite, checked)):
+        return
     last = len(traj.mesh) - 1
     for i, (t, x, r) in enumerate(zip(traj.mesh, traj.values, residuals)):
         if not (math.isfinite(x) and (math.isfinite(r) or (alpha == 1.0 and i == last))):
-            raise DomainError(f"{name} alpha={_alpha_tag(alpha)}: the trajectory "
+            raise DomainError(f"{name} alpha={alpha_tag(alpha)}: the trajectory "
                               f"leaves the float range at t = {t:g}")
 
 
@@ -200,25 +220,27 @@ def verdict_row(lam: float, alpha: float, h: float | None,
 def _run(config_path: str, out_dir: str, kind: str) -> int:
     """The pipeline of ``simulate`` (kind 'linear') and ``solve-nonlinear``
     (kind 'nonlinear'): solve and check every job, then write."""
-    # kind -> (subcommand, job, start-up label and condition); built per
-    # call so that a rebinding of a job function (a tracing wrapper, say) is
-    # seen
-    kinds = {"linear": ("simulate", _linear_trajectory, _LINEAR_STARTUP),
-             "nonlinear": ("solve-nonlinear", _nonlinear_trajectory,
-                           _NONLINEAR_STARTUP)}
+    # kind -> (subcommand, what a scenario's jobs share, job, start-up
+    # label and condition); built per call so that a rebinding of a job
+    # function (a tracing wrapper, say) is seen
+    kinds = {"linear": ("simulate", _linear_forcing, _linear_trajectory,
+                        _LINEAR_STARTUP),
+             "nonlinear": ("solve-nonlinear", lambda scn: build_rhs(scn.rhs_spec),
+                           _nonlinear_trajectory, _NONLINEAR_STARTUP)}
     scenarios = parse_config(Path(config_path).read_text(encoding="utf-8"))
     for scn in scenarios:
         if scn.kind != kind:
             raise ConfigError(f"scenario '{scn.name}' is {scn.kind}; "
                               f"use 'cfts {kinds[scn.kind][0]}'")
-    _, job, startup_kind = kinds[kind]
+    _, prepare, job, startup_kind = kinds[kind]
     runs = []
     for scn in scenarios:
+        shared = prepare(scn)
         for alpha in scn.alphas:
             try:
-                traj, resid, summary, startup = job(scn, alpha)
+                traj, resid, summary, startup = job(scn, alpha, shared)
             except OverflowError:
-                raise DomainError(f"{scn.name} alpha={_alpha_tag(alpha)}: an "
+                raise DomainError(f"{scn.name} alpha={alpha_tag(alpha)}: an "
                                   f"intermediate value overflows the float range"
                                   ) from None
             _require_finite(scn.name, alpha, traj, resid)
@@ -226,16 +248,20 @@ def _run(config_path: str, out_dir: str, kind: str) -> int:
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     summaries: dict[str, list] = {}
+    t_mesh = None
     for scn, alpha, traj, resid, summary, startup in runs:
         name = scn.name
         _self_check(scn, alpha, traj, resid, startup_kind, startup)
-        _write_csv(out / f"{name}_alpha{_alpha_tag(alpha)}.csv", TRAJECTORY_HEADER,
-                   zip(traj.mesh, traj.values, resid))
+        if traj.mesh is not t_mesh:  # the alphas of a scenario share their mesh
+            t_mesh, t_strings = traj.mesh, ["%.17g" % t for t in traj.mesh]
+        _write_csv(out / f"{name}_alpha{alpha_tag(alpha)}.csv", TRAJECTORY_HEADER,
+                   _trajectory_rows(t_strings, traj.values, resid))
         if summary is not None:
             summaries.setdefault(name, []).append(summary)
     for name, rows in summaries.items():
         if kind == "linear":
-            _write_csv(out / f"{name}_verdicts.csv", VERDICT_HEADER, rows)
+            _write_csv(out / f"{name}_verdicts.csv", VERDICT_HEADER,
+                       "".join([",".join(map(_fmt, row)) + "\n" for row in rows]))
         else:
             (out / f"{name}_report.txt").write_text("\n".join(rows) + "\n")
             print("\n".join(rows))
@@ -404,7 +430,7 @@ def cmd_figures(which: int, out_dir: str, plot_script: bool) -> int:
     cfg_path.write_text(text)
     cmd_simulate(str(cfg_path), str(out))
     if plot_script:
-        files = [f"{scn.name}_alpha{_alpha_tag(a)}.csv"
+        files = [f"{scn.name}_alpha{alpha_tag(a)}.csv"
                  for scn in parse_config(text) for a in scn.alphas]
         script = _PLOT_TEMPLATE.format(files=files, png=f"fig{which}.png")
         (out / f"plot_fig{which}.py").write_text(script)

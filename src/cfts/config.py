@@ -2,7 +2,8 @@
 
 Flat key-value lines grouped under ``[scenario NAME]`` headers; '#' starts
 a comment.  NAME must be unique within a config, because it names the
-scenario's output files.  Keys:
+scenario's output files, and so must the tag ``alpha_tag`` gives each
+alpha of a scenario.  Keys:
 
     segment   = interval a b | grid start step count | point t   (repeatable)
     equation  = linear | nonlinear
@@ -64,6 +65,11 @@ class Scenario:
     window: tuple[float, float] | None = None
     horizon: float | None = None
     steps: int | None = None
+
+
+def alpha_tag(alpha: float) -> str:
+    """The tag that names an alpha's output files and report line."""
+    return f"{alpha:g}"
 
 
 def _floats(tokens, line, field_):
@@ -146,9 +152,17 @@ def _build_scenario(name: str, header_line: int,
     x0 = _floats([x0_val], x0_line, "x0")[0]
 
     a_val, a_line = need("alpha")
-    alphas = _floats(a_val.split(), a_line, "alpha")
+    a_toks = a_val.split()
+    alphas = _floats(a_toks, a_line, "alpha")
     if not alphas or any(not 0.0 <= a <= 1.0 for a in alphas):
         raise ConfigError("alpha values must lie in [0, 1]", a_line, "alpha")
+    # each alpha names its own output file and report line
+    tags = [alpha_tag(a) for a in alphas]
+    for i, tag in enumerate(tags):
+        j = tags.index(tag)
+        if j < i:
+            raise ConfigError(f"alpha values {a_toks[j]} and {a_toks[i]} share "
+                              f"the output tag {tag!r}", a_line, "alpha")
 
     out = take("outputs")
     outputs = tuple(out[0].split()) if out else ("trajectory",)

@@ -7,7 +7,9 @@ alpha/(alpha - 1) <= 0`` and the left-sided derivative of f over [a, t] is
 
 the Caputo--Fabrizio construction carried to an arbitrary time scale: the
 first-order delta derivative convolved with the time-scale exponential.
-Both operators are ``calculus.kernel_march`` over the increments of f: at
+Both operators are ``calculus.kernel_march`` over the term column of the
+increments of f (``_increments``, one comprehension over the cells, which
+reads f once per cell end, by index when f is sampled on the mesh): at
 rate alpha_bar its S at each mesh point is the left operator
 (``cf_delta_left_prefix``; ``cf_delta_left`` is the march on (a, t)), and
 at rate 0, with each increment divided by the running weight e(hi, t), its
@@ -18,19 +20,22 @@ is the weighted average (1-alpha)/M * u(t) + alpha/M * integral_0^t u.
 from __future__ import annotations
 
 import math
+from itertools import accumulate
+from operator import le, mul
 from typing import Sequence
 
 from ._record import record
 from .calculus import (
+    Cell,
+    _first_killed,
     _growth,
-    _kills,
-    _march_to,
     _u_run_integral,
+    _walk,
     delta_integral,
     kernel_march,
 )
 from .errors import DomainError, NonRegressiveKernel
-from .signals import Closure, Signal, as_signal, value
+from .signals import Closure, Sampled, Signal, _column, as_signal, value
 from .timescale import TimeScale, UniformGrid
 
 
@@ -76,34 +81,48 @@ def _dense_weighted(ts: TimeScale, f: Signal, lo: float, hi: float, rate: float)
     pts = [lo, *f.between(lo, hi), hi]
     total = 0.0
     for p0, p1 in zip(pts, pts[1:]):
-        dv = value(f, ts, p1) - value(f, ts, p0)
-        total += dv * math.exp(rate * (hi - 0.5 * (p0 + p1)))
+        total += _dense_piece(value(f, ts, p0), value(f, ts, p1), p0, p1, hi, rate)
     return total
 
 
-def _increments(ts: TimeScale, f: Signal, rate: float, grid_hi: float):
-    """The kernel-march term of f^delta: mu * f^delta(lo) on a scattered cell,
-    ``_dense_weighted`` on a dense one.  Raises NonRegressiveKernel past
-    ``grid_hi`` once a factor 1 + mu*rate has vanished in the span walked."""
-    killed = False
-    f_lo = None  # f(lo) when the previous cell ended at lo on a scattered step
+def _dense_piece(v0: float, v1: float, p0: float, p1: float, hi: float,
+                 rate: float) -> float:
+    """The midpoint rule of a Sampled f^delta on the piece [p0, p1] of a
+    dense cell ending at hi, f going from v0 to v1: the increment weighted
+    by the kernel at the piece's midpoint."""
+    return (v1 - v0) * math.exp(rate * (hi - 0.5 * (p0 + p1)))
 
-    def term(lo, hi, mu):
-        nonlocal killed, f_lo
-        killed = killed or _kills(mu, rate)
-        if killed and hi > grid_hi:
-            raise NonRegressiveKernel(
-                f"kernel factor 1 + mu*alpha_bar vanishes before t={hi!r} "
-                f"(graininess (1-alpha)/alpha = {-1.0 / rate:g})")
-        if not mu:
-            f_lo = None
-            return _dense_weighted(ts, f, lo, hi, rate)
-        f_hi = value(f, ts, hi)
-        fd = (f_hi - (value(f, ts, lo) if f_lo is None else f_lo)) / mu
-        f_lo = f_hi
-        return mu * fd
 
-    return term
+def _increments(ts: TimeScale, f: Signal, cells: Sequence[Cell], ends: Sequence[float],
+                rate: float, grid_hi: float) -> list[float]:
+    """The term column of f^delta over the cells with these ends:
+    mu*((f(hi) - f(lo))/mu) on a scattered cell, ``_dense_weighted`` on a
+    dense one.  f is read once per end of a scattered cell, by index when
+    f is sampled on exactly the ends; then each dense cell lies between
+    two consecutive samples and is one ``_dense_piece``.  Raises
+    NonRegressiveKernel at the first cell past ``grid_hi`` once a factor
+    1 + mu*rate has vanished in the span walked, after the terms of the
+    cells before it."""
+    k = _first_killed(cells, rate)
+    stop = next((j for j in range(k, len(cells)) if cells[j][1] > grid_hi), len(cells))
+    live = cells[:stop]
+    if isinstance(f, Sampled) and f.mesh == ends:
+        v = f.values
+        # _dense_weighted's sum starts at 0.0, so a -0.0 piece reads 0.0
+        terms = [mu * ((v1 - v0) / mu) if mu else 0.0 + _dense_piece(v0, v1, lo, hi, hi, rate)
+                 for (lo, hi, mu), v0, v1 in zip(live, v, v[1:])]
+    else:
+        mus = [mu for _, _, mu in live]
+        n = len(mus)
+        v = [value(f, ts, t) if (j < n and mus[j]) or (j and mus[j - 1]) else 0.0
+             for j, t in enumerate(ends[:n + 1])]
+        terms = [mu * ((v1 - v0) / mu) if mu else _dense_weighted(ts, f, lo, hi, rate)
+                 for (lo, hi, mu), v0, v1 in zip(live, v, v[1:])]
+    if stop < len(cells):
+        raise NonRegressiveKernel(
+            f"kernel factor 1 + mu*alpha_bar vanishes before t={cells[stop][1]!r} "
+            f"(graininess (1-alpha)/alpha = {-1.0 / rate:g})")
+    return terms
 
 
 def _left_march(ts: TimeScale, f: Signal, mesh: Sequence[float],
@@ -113,18 +132,20 @@ def _left_march(ts: TimeScale, f: Signal, mesh: Sequence[float],
     scale raises DomainError."""
     if not mesh:
         raise DomainError("the mesh needs at least one point")
-    if any(t1 <= t0 for t0, t1 in zip(mesh, mesh[1:])):
+    mesh = tuple(mesh)
+    if any(map(le, mesh[1:], mesh)):
         raise DomainError("the mesh must be strictly increasing")
-    a = mesh[0]
     if order.alpha == 0.0:
-        f_a = value(f, ts, a)
-        return [value(f, ts, t) - f_a for t in mesh]
+        col = _column(f, ts, mesh)
+        return [v - col[0] for v in col]
+    a = mesh[0]
     rate, front = order.alpha_bar, order.front_factor
     seg = ts.segments[ts._locate(a)[0]]
     # [a, t] lies in one uniform grid iff t <= grid_hi
     grid_hi = seg.hi if isinstance(seg, UniformGrid) else a
-    term = _increments(ts, f, rate, grid_hi)
-    return [0.0, *(front * S for _, S in kernel_march(ts, mesh, rate, term))]
+    cells, ends = _walk(ts, mesh)
+    terms = _increments(ts, f, cells, ends, rate, grid_hi)
+    return [0.0, *[front * S for _, S in kernel_march(cells, mesh, rate, terms)]]
 
 
 def cf_delta_left_prefix(ts: TimeScale, f: Signal, mesh: Sequence[float],
@@ -176,18 +197,17 @@ def cf_delta_right(ts: TimeScale, f: Signal, t: float, b: float, order: CFOrder)
     if order.alpha == 0.0:
         return value(f, ts, b) - value(f, ts, t)
     rate = order.alpha_bar
-    increment = _increments(ts, f, rate, -math.inf)
-    accum = 1.0  # e_{alpha_bar}(hi, t) of the cell last walked
-
-    def term(lo, hi, mu):
-        nonlocal accum
-        d = increment(lo, hi, mu)
-        accum *= _growth(rate, lo, hi, mu)
-        if not accum:
-            raise DomainError(f"the kernel weight 1/e(tau, {t}) overflows at tau={hi!r}")
-        return d / accum
-
-    x = order.front_factor * _march_to(ts, t, b, 0.0, term)[1]
+    cells, ends = _walk(ts, (t, b))
+    # e_{alpha_bar}(hi, t) of every cell; a zero one ends the walk there
+    weights = list(accumulate([_growth(rate, *cell) for cell in cells], mul))
+    zero = weights.index(0.0) if 0.0 in weights else len(cells)
+    increments = _increments(ts, f, cells[:zero + 1], ends[:zero + 2], rate, -math.inf)
+    if zero < len(cells):
+        raise DomainError(f"the kernel weight 1/e(tau, {t}) overflows at "
+                          f"tau={cells[zero][1]!r}")
+    terms = [d / w for d, w in zip(increments, weights)]
+    S = kernel_march(cells, (t, b), 0.0, terms)[-1][1] if cells else 0.0
+    x = order.front_factor * S
     if not math.isfinite(x):
         raise DomainError(f"the right operator leaves the float range on [{t}, {b}]")
     return x

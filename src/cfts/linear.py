@@ -12,7 +12,11 @@ p = lambda*alpha/K regressive, the solution is
 One ``calculus.kernel_march`` at rate p carries e_p(t, 0) and the
 weighted integral (O(n) instead of O(n^2) resummation); it serves both
 the trajectory on a mesh and the single-point ``solve_linear``, which is
-that march on the mesh (0, t).
+that march on the mesh (0, t).  The forcing is read once per mesh point
+(``signals._column``), and that column, the mesh (``_resolve_mesh``) and
+its cells (``calculus._walk``) are kept for the next call, so the
+trajectories and residuals of one scenario, at every alpha, and its
+alpha = 1 walks share them.
 
 The limiting order alpha = 1 degenerates to the classical delta equation
 x^delta = lambda*x + u, provided here as ``classical_trajectory`` (its own
@@ -36,11 +40,18 @@ from __future__ import annotations
 import math
 from typing import Sequence
 
-from ._record import record
-from .calculus import _convolved, _kills, _u_run_integral, kernel_march
+from ._record import keep_last, record
+from .calculus import (
+    _convolution_terms,
+    _kills,
+    _scattered_lo,
+    _u_run_integral,
+    _walk,
+    kernel_march,
+)
 from .errors import DomainError, NotRegressive
 from .fractional import CFOrder, _left_march
-from .signals import Sampled, Signal, as_signal, value
+from .signals import Sampled, Signal, _column, as_signal, value
 from .timescale import TimeScale
 
 
@@ -80,16 +91,19 @@ def _march(prob: LinearCFProblem, mesh: Sequence[float]) -> list[float]:
     starts at 0, from one kernel march at rate p over its cells."""
     ts, p, u, x0 = prob.ts, prob.p_alpha, prob.u, prob.x0
     K, alpha = prob.k_alpha, prob.order.alpha
+    mesh = tuple(mesh)
+    cells, ends = _walk(ts, mesh)
+    u_t = _column(u, ts, mesh)
+    # when the cells are the mesh's steps, u(lo) is the forcing column
+    u_lo = u_t if ends == mesh else _scattered_lo(ts, u, cells)
     u_0 = value(u, ts, 0.0)
-    xs = [x0]
-    march = kernel_march(ts, mesh, p, _convolved(ts, u, p))
+    march = kernel_march(cells, mesh, p, _convolution_terms(ts, u, cells, u_lo, p))
     # ep = e_p(t, 0), integral = integral_0^t e_p(t, sigma(tau)) u(tau) dtau
-    for t, (ep, integral) in zip(mesh[1:], march):
-        xs.append(x0
+    return [x0, *[x0
                   - (1.0 - ep) * x0 / K
-                  + (1.0 - alpha) * (value(u, ts, t) - u_0) / K
-                  + alpha * integral / (K * K))
-    return xs
+                  + (1.0 - alpha) * (u_k - u_0) / K
+                  + alpha * integral / (K * K)
+                  for u_k, (ep, integral) in zip(u_t[1:], march)]]
 
 
 def solve_linear(prob: LinearCFProblem, t: float) -> float:
@@ -102,8 +116,11 @@ def solve_linear(prob: LinearCFProblem, t: float) -> float:
     return _march(prob, (zero, t) if t > zero else (zero,))[-1]
 
 
+@keep_last
 def _resolve_mesh(ts: TimeScale, horizon: float | None, steps: int | None,
                   max_step: float | None) -> tuple[float, ...]:
+    """The mesh of [0, horizon] or of the first ``steps`` steps; the last
+    one is kept, so the jobs of one scenario share it."""
     if (horizon is None) == (steps is None):
         raise DomainError("give exactly one of horizon (a point) or steps (a count)")
     if horizon is not None:
@@ -132,12 +149,13 @@ def residual_linear_mesh(prob: LinearCFProblem, x: Signal,
     """Defect D^(alpha) x (t) - lambda*x(t) - u(t) at every point of an
     increasing mesh starting at 0, from one forward kernel march.  The mesh
     points are canonical (as ``TimeScale.mesh`` returns them)."""
-    ts = prob.ts
+    ts, lam = prob.ts, prob.lam
     if not mesh or ts.snap(mesh[0]) != ts.snap(0.0):
         raise DomainError("the residual mesh must start at t = 0")
+    mesh = tuple(mesh)
     lhs = _left_march(ts, x, mesh, prob.order)
-    return [d - prob.lam * value(x, ts, t) - value(prob.u, ts, t)
-            for d, t in zip(lhs, mesh)]
+    return [d - lam * v - u_k
+            for d, v, u_k in zip(lhs, _column(x, ts, mesh), _column(prob.u, ts, mesh))]
 
 
 def residual_linear(prob: LinearCFProblem, x: Signal, t: float) -> float:
@@ -158,15 +176,13 @@ def classical_trajectory(ts: TimeScale, lam: float, u, x0: float,
     """
     u = as_signal(u)
     mesh = _resolve_mesh(ts, horizon, steps, None)
-    xs = [x0]
-    for lo, hi, mu in ts.cells(mesh):  # the cells are the steps of a ts.mesh
-        x = xs[-1]
-        if mu:
-            xs.append(x + mu * (lam * x + value(u, ts, lo)))
-        else:
-            grow = math.exp(lam * (hi - lo))
-            forced = _u_run_integral(ts, u, lo, hi, lam)
-            xs.append(grow * x + forced)
+    cells, _ = _walk(ts, mesh)  # the cells are the steps of a ts.mesh
+    x = x0
+    xs = [x]
+    for (lo, hi, mu), u_lo in zip(cells, _column(u, ts, mesh)):
+        x = (x + mu * (lam * x + u_lo) if mu
+             else math.exp(lam * (hi - lo)) * x + _u_run_integral(ts, u, lo, hi, lam))
+        xs.append(x)
     return Sampled(mesh, tuple(xs))
 
 
@@ -184,17 +200,20 @@ def classical_residual_mesh(ts: TimeScale, lam: float, u, x: Sampled) -> list[fl
     one-sided otherwise.
     """
     u = as_signal(u)
-    m, v = x.mesh, x.values
+    m, v = tuple(x.mesh), x.values
+    cells, _ = _walk(ts, m)
+    skip = next((hi for (_, hi, _), t in zip(cells, m[1:]) if hi != t), None)
+    if skip is not None:
+        raise DomainError(f"the mesh skips the point {skip!r} of the scale")
+    u_t = _column(u, ts, m)
     out = []
     prev_dense = False
-    for k, (_, hi, mu) in enumerate(ts.cells(m)):
-        if hi != m[k + 1]:
-            raise DomainError(f"the mesh skips the point {hi!r} of the scale")
+    for k, (_, _, mu) in enumerate(cells):
         if mu:
             slope = (v[k + 1] - v[k]) / mu
         else:
             j = k - 1 if prev_dense else k
             slope = (v[k + 1] - v[j]) / (m[k + 1] - m[j])
         prev_dense = not mu
-        out.append(slope - lam * v[k] - value(u, ts, m[k]))
+        out.append(slope - lam * v[k] - u_t[k])
     return out

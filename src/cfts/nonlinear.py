@@ -25,9 +25,10 @@ import math
 from typing import Callable, Sequence
 
 from ._record import record
+from .calculus import _walk
 from .errors import DomainError, MaxIterationsExceeded, NotContractive
 from .fractional import CFOrder, _left_march
-from .signals import Sampled, Signal, value
+from .signals import Sampled, Signal, _column
 from .timescale import TimeScale
 
 DEFAULT_TOL = 1e-10
@@ -110,7 +111,7 @@ def picard_solve(prob: NonlinearCFProblem, tol: float = DEFAULT_TOL,
     g = f(mesh[0], x)
     base = x - (1.0 - alpha) * g
     xs, cum, iterations, defect = [x], 0.0, 0, 0.0
-    for lo, hi, mu in ts.cells(mesh):
+    for lo, hi, mu in _walk(ts, mesh)[0]:
         dt = hi - lo
         if mu:
             cum += dt * g
@@ -145,6 +146,7 @@ def residual_nonlinear_mesh(prob: NonlinearCFProblem, x: Signal,
     ts = prob.ts
     if not mesh or ts.snap(mesh[0]) != prob.a:
         raise DomainError(f"the residual mesh must start at a = {prob.a}")
+    mesh = tuple(mesh)
     lhs = _left_march(ts, x, mesh, prob.order)
-    return [d - prob.rhs(t, value(x, ts, t)) for d, t in zip(lhs, mesh)]
+    return [d - prob.rhs(t, v) for d, t, v in zip(lhs, mesh, _column(x, ts, mesh))]
 

@@ -20,9 +20,10 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left, bisect_right
-from typing import Callable, Union
+from operator import le
+from typing import Callable, Sequence, Union
 
-from ._record import record
+from ._record import keep_last, record
 from .errors import DenseDerivativeUnavailable, PointNotInTimeScale
 from .timescale import TimeScale, _atol
 
@@ -58,7 +59,7 @@ class Sampled:
     def __post_init__(self):
         if len(self.mesh) != len(self.values):
             raise ValueError("mesh and values must have equal length")
-        if any(b <= a for a, b in zip(self.mesh, self.mesh[1:])):
+        if any(map(le, self.mesh[1:], self.mesh)):
             raise ValueError("mesh must be strictly increasing")
 
     def index_of(self, t: float) -> int:
@@ -180,6 +181,22 @@ def value(sig: Signal, ts: TimeScale, t: float) -> float:
     lo, hi = sig.mesh[i - 1], sig.mesh[i]
     w = (t - lo) / (hi - lo)
     return (1.0 - w) * sig.values[i - 1] + w * sig.values[i]
+
+
+def _column(sig: Signal, ts: TimeScale, points: tuple[float, ...]) -> Sequence[float]:
+    """sig at each of the points: its stored values when sig is sampled on
+    exactly these points, else one ``value`` read per point, kept for the
+    next call with the same signal and points, so that the trajectory,
+    residual and classical walks of one scenario read its forcing once."""
+    if isinstance(sig, Sampled) and sig.mesh == points:
+        return sig.values
+    return _read(sig, ts, points)
+
+
+@keep_last
+def _read(sig: Signal, ts: TimeScale, points: tuple[float, ...]) -> tuple[float, ...]:
+    """``value`` of sig at each of the points."""
+    return tuple([value(sig, ts, t) for t in points])
 
 
 def sampled_slope(sig: Sampled, ts: TimeScale, t: float) -> float:

@@ -11,10 +11,10 @@ format with each dense run left whole.
 from __future__ import annotations
 
 import math
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from enum import Enum
 from functools import cached_property
-from typing import Iterable, Iterator, Sequence, Union
+from typing import Iterable, Sequence, Union
 
 from ._record import record
 from .errors import PointNotInTimeScale
@@ -351,21 +351,24 @@ class TimeScale:
                 if a <= s.b < b:
                     out.append((s.b, nxt, nxt - s.b))
             elif isinstance(s, UniformGrid):
-                k_lo = max(0, math.ceil((a - s.start) / s.step - 0.5))
+                start, step = s.start, s.step
+                k_lo = max(0, math.ceil((a - start) / step - 0.5))
                 while s.point(k_lo) < a and not _close(s.point(k_lo), a):
                     k_lo += 1
-                for k in range(k_lo, s.count):
-                    t = s.point(k)
-                    if t >= b:
-                        break
-                    hi = s.point(k + 1) if k < s.count - 1 else nxt
-                    out.append((t, hi, hi - t))
+                # the points from k_lo up to the first at or past b, then
+                # nxt after the grid's last point
+                k_hi = min(s.count, max(k_lo, math.ceil((b - start) / step)) + 2)
+                pts = [start + k * step for k in range(k_lo, k_hi)]
+                n = bisect_left(pts, b)  # the points before b
+                if k_hi == s.count:
+                    pts.append(nxt)
+                out += [(t, hi, hi - t) for t, hi in zip(pts[:n], pts[1:n + 1])]
             elif a <= s.t < b:
                 out.append((s.t, nxt, nxt - s.t))
         return out
 
-    def cells(self, mesh: Sequence[float]) -> Iterator[tuple[float, float, float]]:
-        """Walk [mesh[0], mesh[-1]) cell by cell, yielding (lo, hi, mu).
+    def cells(self, mesh: Sequence[float]) -> list[tuple[float, float, float]]:
+        """The cells (lo, hi, mu) of [mesh[0], mesh[-1]), in order.
 
         These are the cells of ``atoms`` with every dense run cut at the
         mesh points inside it.  The cells tile the span, and every mesh
@@ -373,16 +376,18 @@ class TimeScale:
         (mesh[0] == mesh[-1]) has none.  The mesh must be increasing
         canonical points (as ``snap`` and ``mesh`` return them).
         """
+        out: list[tuple[float, float, float]] = []
         k = 1  # next mesh point not yet passed
         for lo, hi, mu in self.atoms(mesh[0], mesh[-1]):
             if not mu:
                 while mesh[k] < hi:
-                    yield lo, mesh[k], 0.0
+                    out.append((lo, mesh[k], 0.0))
                     lo = mesh[k]
                     k += 1
-            yield lo, hi, mu
+            out.append((lo, hi, mu))
             if mesh[k] == hi:
                 k += 1
+        return out
 
     def mesh(self, a: float, b: float, max_step: float | None = None) -> tuple[float, ...]:
         """All scattered points of [a, b] plus subdivided dense runs.

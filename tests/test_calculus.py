@@ -12,10 +12,12 @@ from cfts.calculus import (
     _kernel_breakpoints,
     _qk15,
     _quad,
+    _u_run_integral,
     delta_derivative,
     delta_integral,
     exp_ts,
     is_regressive,
+    kernel_march,
 )
 from cfts.errors import (
     DenseDerivativeUnavailable,
@@ -337,3 +339,41 @@ class TestClosedFormKernelIntegral:
         got = sine(1.0, 2.0, 0.0).kernel_integral(0.0, 1.0, -1e5)
         want = (1e5 * math.sin(2.0) - 2.0 * math.cos(2.0)) / (1e10 + 4.0)
         assert got == pytest.approx(want, rel=1e-14)
+
+
+class TestKernelMarch:
+    def test_term_column_must_match_the_cells(self):
+        ts = TimeScale.of(UniformGrid(0.0, 0.5, 4))
+        mesh = ts.mesh(0.0, 1.5)
+        cells = ts.cells(mesh)
+        assert [S for _, S in kernel_march(cells, mesh, 0.0, [1.0] * len(cells))] == [1, 2, 3]
+        for terms in ([1.0] * (len(cells) - 1), [1.0] * (len(cells) + 1)):
+            with pytest.raises(ValueError):
+                kernel_march(cells, mesh, 0.0, terms)
+
+
+class TestSampledKernelIntegral:
+    """A Sampled signal is its linear interpolant, integrated exactly against
+    exp(p*(hi - tau)): on linear data the rule is exact for every p, flat or
+    steep, with |p*h| on both sides of the Taylor branch at 1e-2."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(log_h=st.floats(-6.0, 0.0),
+           p=st.one_of(st.just(0.0), st.builds(lambda e: 10.0 ** e, st.floats(-6.0, 1.0)),
+                       st.builds(lambda e: -10.0 ** e, st.floats(-6.0, 4.0))),
+           c0=st.floats(-2.0, 2.0), c1=st.floats(-2.0, 2.0))
+    @example(log_h=-2.0, p=-0.99, c0=1.0, c1=1.0)  # |p*h| just under 1e-2
+    @example(log_h=-2.0, p=-1.01, c0=1.0, c1=1.0)  # and just over
+    @example(log_h=0.0, p=-1e4, c0=0.0, c1=1.0)  # the kernel's mass within 1e-4 of hi
+    def test_exact_on_linear_data(self, log_h, p, c0, c1):
+        h = 10.0 ** log_h
+        mesh = tuple(1.0 + k * h for k in range(6))
+        lo, hi = mesh[0], mesh[-1]
+        ts = TimeScale.interval(lo, hi)
+        u = Sampled(mesh, tuple(c0 + c1 * t for t in mesh))
+        line = Closure(lambda t: c0 + c1 * t)
+        d = hi - lo
+        assume(p * d <= 30.0)
+        mass = (abs(c0) + abs(c1) * hi) * (math.expm1(p * d) / p if p else d)
+        assert abs(_u_run_integral(ts, u, lo, hi, p) - _kernel_oracle(line, lo, hi, p)) \
+            <= 1e-12 * mass + 1e-300

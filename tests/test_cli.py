@@ -10,12 +10,14 @@ from bisect import bisect
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import cfts
-from cfts import cli, stability
+from cfts import cli, signals, stability
 from cfts.cli import VERDICT_HEADER, _fmt, main, verdict_row
 from cfts.config import ConfigError, build_rhs, build_signal, parse_config
-from cfts.signals import Sampled
+from cfts.signals import Closure, Sampled
 from cfts.stability import classify_hz, classify_r
 
 from .oracles import oracle_linear_discrete
@@ -148,6 +150,31 @@ class TestConfigParsing:
         cfg.write_text(bad)
         out = tmp_path / "out"
         assert _one_line_error(main(["solve-nonlinear", str(cfg), "--out", str(out)]),
+                               capsys) == "config error"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command, text, alphas", [
+        ("simulate", LINEAR_CONFIG.replace("segment = grid 0 1 31", "segment = grid 0 1 5")
+         .replace("steps 30", "steps 4"), ("0.1234567", "0.12345678")),
+        ("simulate", LINEAR_CONFIG, ("0.5", "0.5")),
+        ("solve-nonlinear", NONLINEAR_CONFIG, ("0.1234567", "0.12345678")),
+    ], ids=["linear-rounded", "linear-repeated", "nonlinear-rounded"])
+    def test_alphas_sharing_a_file_tag_rejected(self, tmp_path, capsys, command, text,
+                                                 alphas):
+        # two alphas with one tag would write one CSV (and one report line
+        # name) for two jobs
+        line = next(k for k, row in enumerate(text.splitlines(), 1)
+                    if row.startswith("alpha = "))
+        bad = "\n".join(f"alpha = {' '.join(alphas)}" if k == line else row
+                        for k, row in enumerate(text.splitlines(), 1)) + "\n"
+        with pytest.raises(ConfigError) as err:
+            parse_config(bad)
+        assert (err.value.line, err.value.field) == (line, "alpha")
+        assert f"share the output tag '{float(alphas[0]):g}'" in str(err.value)
+        cfg = tmp_path / "tags.config"
+        cfg.write_text(bad)
+        out = tmp_path / "out"
+        assert _one_line_error(main([command, str(cfg), "--out", str(out)]),
                                capsys) == "config error"
         assert not out.exists()
 
@@ -784,6 +811,114 @@ FIGURE_SHA256 = {
     "fig3_h1_alpha0.5.csv":
         "ecc0d15a6667bcc256c12ea85992a947cdc56839506bef1ed654175b67fe6126",
 }
+
+
+# A hybrid scale (point, grid, interval, point) under a sin forcing, and a
+# grid followed by an interval for the Picard solver: the paths the figure
+# pins miss (closed-form sine cells, dense runs, the classical walk and
+# report lines).  The sine and exponential values come from the platform's
+# libm, so these bytes are pinned for glibc.
+HYBRID_SINE_CONFIG = """\
+[scenario hyb]
+segment = point 0
+segment = grid 0.25 0.125 5
+segment = interval 1 1.5
+segment = point 1.75
+equation = linear
+lambda = -0.5
+u = sin 1 2 0.3
+x0 = 0.6
+alpha = 0.3 0.7 1
+horizon = time 1.75
+outputs = trajectory residuals verdict
+"""
+
+GRID_INTERVAL_NONLINEAR_CONFIG = """\
+[scenario nl]
+segment = grid 0 0.05 11
+segment = interval 0.5 1
+equation = nonlinear
+rhs = sin_x 0.8
+lipschitz = 0.8
+window = 0 1
+x0 = 1
+alpha = 0.3 0.7
+"""
+
+PATH_SHA256 = {
+    "hyb_alpha0.3.csv": "a6486f11d85fc2d6bc2fc5e6609f395a86b76241380fe4b7e5ae8ee3e2d1ec38",
+    "hyb_alpha0.7.csv": "8e667bcde2c5cd2b02c73ea42461a309e1e691a6db0f4e776ba89e3adead7e45",
+    "hyb_alpha1.csv": "ffd50bf3e279d2f98d949167de9748b22dabbd72dfb1d0cd8410309f668e75e5",
+    "hyb_verdicts.csv": "87120e6e48ba6ae129722c1e9c0709010ea288866288607ce55545af51f06854",
+    "nl_alpha0.3.csv": "0314cfabbd7f4a1b01c0e1fc79e81d08307c1d269295b66753dc084835506bad",
+    "nl_alpha0.7.csv": "fdd27e557d115d20aaaf0c943fa9d7fa57ad289b37f2e99e629c0362f8ce9455",
+    "nl_report.txt": "66a68f3a15bd5c2a99622ad50b86047559a2a46a8c633068987fa6742f6fa95f",
+}
+
+
+class TestPathBytes:
+    def test_hybrid_sine_and_nonlinear_bytes_are_pinned(self, tmp_path, capsys):
+        for command, text in (("simulate", HYBRID_SINE_CONFIG),
+                              ("solve-nonlinear", GRID_INTERVAL_NONLINEAR_CONFIG)):
+            cfg = tmp_path / f"{command}.config"
+            cfg.write_text(text)
+            assert main([command, str(cfg), "--out", str(tmp_path / "out")]) == 0
+        got = {f.name: hashlib.sha256(f.read_bytes()).hexdigest()
+               for f in (tmp_path / "out").iterdir()}
+        assert got == PATH_SHA256
+
+    def test_each_sample_is_read_once(self, tmp_path, monkeypatch):
+        # every signals.value call is counted, at each of its bindings; the
+        # residuals of alpha < 1 read the trajectory by index and the forcing
+        # from the scenario's shared column, and the forcing (the one
+        # Closure) is read once per mesh point, plus u(0) once for the
+        # start-up and once in each of the two alpha < 1 closed forms
+        reads = {"forcing": 0, "in residuals": 0}
+        residual_calls = []
+        in_residual = False
+        value = signals.value
+
+        def counted(sig, ts, t):
+            reads["forcing"] += isinstance(sig, Closure)
+            reads["in residuals"] += in_residual
+            return value(sig, ts, t)
+
+        for name, module in list(sys.modules.items()):
+            if name.startswith("cfts") and getattr(module, "value", None) is value:
+                monkeypatch.setattr(module, "value", counted)
+        residual = cli.residual_linear_mesh
+
+        def traced(*args):
+            nonlocal in_residual
+            residual_calls.append(args)
+            in_residual = True
+            try:
+                return residual(*args)
+            finally:
+                in_residual = False
+
+        monkeypatch.setattr(cli, "residual_linear_mesh", traced)
+        cfg = tmp_path / "hyb.config"
+        cfg.write_text(HYBRID_SINE_CONFIG)
+        assert cli.cmd_simulate(str(cfg), str(tmp_path / "out")) == 0
+        (scn,) = parse_config(HYBRID_SINE_CONFIG)
+        assert len(residual_calls) == 2
+        assert reads == {"forcing": len(scn.ts.mesh(0.0, 1.75)) + 3, "in residuals": 0}
+
+
+_EDGE_FLOATS = (math.nan, math.inf, -math.inf, 0.0, -0.0, 5e-324, -5e-324,
+                2.2250738585072014e-308, 1.7976931348623157e308,
+                -1.7976931348623157e308, 0.1, 1e16, 1e-5)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.tuples(*[st.one_of(st.floats(), st.sampled_from(_EDGE_FLOATS))] * 3),
+                min_size=1, max_size=12))
+@example([(-0.0, math.nan, math.inf), (0.0, -math.inf, 5e-324)])
+def test_bulk_rows_equal_the_row_formatter(rows):
+    mesh, xs, residuals = zip(*rows)
+    want = "".join(",".join(f"{v:.17g}" for v in row) + "\n" for row in rows)
+    assert cli._trajectory_rows(["%.17g" % t for t in mesh], xs, residuals) == want
 
 
 class TestFigures:

@@ -237,8 +237,14 @@ class TestLeftPrefix:
         atoms = TimeScale.atoms
         monkeypatch.setattr(TimeScale, "atoms",
                             lambda self, a, b: calls.append((a, b)) or atoms(self, a, b))
+        # right after its trajectory, the residual reuses the trajectory's walk
         column = residual_linear_mesh(prob, traj, traj.mesh)
         assert len(column) == len(traj.mesh) > 200
+        assert calls == []
+        # on its own (another mesh walked since), it walks the atoms once
+        solve_linear_trajectory(prob, horizon=2.0)
+        calls.clear()
+        assert residual_linear_mesh(prob, traj, traj.mesh) == column
         assert calls == [(0.0, 2.5)]
 
 
@@ -302,12 +308,14 @@ def test_only_timescale_knows_the_atom_format():
 
 
 def test_one_kernel_march():
-    # every exponential-kernel recurrence runs on calculus.kernel_march; the
-    # walks allowed besides it step differently: the classical explicit
-    # step (pinned figure bytes), the implicit Picard map, the slopes of
-    # the classical residual and the log-sum of the stability average
-    allowed = {"kernel_march", "classical_trajectory", "classical_residual_mesh",
-               "picard_solve", "estimate_sc"}
+    # every exponential-kernel recurrence runs on calculus.kernel_march, over
+    # the cells of calculus._walk, the one owner of `.cells(`: a function
+    # that takes cells from it hands them to kernel_march.  The walks
+    # allowed besides it step differently: the classical explicit step
+    # (pinned figure bytes), the implicit Picard map, the slopes of the
+    # classical residual and the log-sum of the stability average
+    allowed = {"classical_trajectory", "classical_residual_mesh", "picard_solve",
+               "estimate_sc"}
     package = Path(cfts.__file__).parent
     walks = []
     for path in sorted(package.glob("*.py")):
@@ -315,9 +323,15 @@ def test_one_kernel_march():
             continue
         for top in ast.parse(path.read_text()).body:
             owner = getattr(top, "name", None)
-            walks += [f"{path.name}:{node.lineno} in {owner}" for node in ast.walk(top)
-                      if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
-                      and node.func.attr == "cells" and owner not in allowed]
+            called = {node.func.attr if isinstance(node.func, ast.Attribute)
+                      else getattr(node.func, "id", None)
+                      for node in ast.walk(top) if isinstance(node, ast.Call)}
+            if owner in allowed:
+                continue
+            if "cells" in called and owner != "_walk":
+                walks.append(f"{path.name}: .cells( in {owner}")
+            if "_walk" in called and "kernel_march" not in called:
+                walks.append(f"{path.name}: _walk( in {owner} without kernel_march")
     assert walks == []
 
 

@@ -17,7 +17,7 @@ from cfts.linear import (
     solve_linear,
     solve_linear_trajectory,
 )
-from cfts.signals import Closure, Sampled, constant, value
+from cfts.signals import Closure, Sampled, constant, sine, value
 from cfts.timescale import ContinuousInterval, IsolatedPoint, TimeScale, UniformGrid
 
 from .oracles import oracle_classical, oracle_linear_discrete
@@ -308,6 +308,30 @@ class TestResidual:
             assert abs(r) < 1e-12
 
 
+class TestSampledForcing:
+    def test_steep_kernel_keeps_its_mass(self):
+        # sin sampled on the 257-point run mesh against its closed form: with
+        # p = -4001 the kernel's mass lies within 1/4001 of each point, which
+        # one midpoint weight per sample interval used to miss (1513.6 for
+        # 0.70506); what is left is the interpolant's error, first order in h
+        ts = TimeScale.interval(0.0, 4.0)
+        mesh = ts.mesh(0.0, 4.0)
+        sampled = Sampled(mesh, tuple(math.sin(t) for t in mesh))
+        exact = sine(1.0, 1.0, 0.0)
+
+        def fractional(u):
+            prob = _mk(ts, 2.0005, u, 0.0, 0.5)
+            assert prob.p_alpha == pytest.approx(-4001.0)
+            return solve_linear_trajectory(prob, horizon=4.0).values[-1]
+
+        assert fractional(exact) == pytest.approx(0.70506, rel=1e-5)
+        assert fractional(sampled) == pytest.approx(fractional(exact), rel=1e-2)
+        classical = classical_trajectory(ts, -1000.0, exact, 0.0, horizon=4.0).values[-1]
+        assert classical == pytest.approx(-7.5615e-4, rel=1e-4)
+        assert (classical_trajectory(ts, -1000.0, sampled, 0.0, horizon=4.0).values[-1]
+                == pytest.approx(classical, rel=1e-2))
+
+
 @st.composite
 def canonical_meshes(draw):
     """A hybrid scale and a prefix of one of its canonical meshes, starting
@@ -360,8 +384,17 @@ class TestClassicalResidualMesh:
         got = classical_residual_mesh(ts, -0.5, u, traj)
         assert _hexes(got) == _hexes(_classical_defect(ts, -0.5, u, traj, t)
                                      for t in mesh[:-1])
-        # the recurrence solves the equation exactly at scattered points
-        assert abs(got[0]) < 1e-15 and abs(got[-1]) < 1e-15
+        # the recurrence solves the equation at scattered points up to the
+        # rounding of its step: exactly at t = 0, and within a few ulp of the
+        # operands (about 25 from t = 1 on, where one ulp is 3.6e-15) after
+        assert abs(got[0]) < 1e-15
+        x, w = traj.values, u.values
+        for k, (_, _, mu) in enumerate(ts.cells(mesh)):
+            if mu:
+                assert abs(got[k]) <= 4 * math.ulp(max(abs(x[k]), abs(x[k + 1]), abs(w[k]))) / mu
+        # the last scattered point's rounding, pinned to the bit: any change
+        # of the trajectory or of the recurrence there moves it
+        assert got[-1] == 2.0 ** -48
 
     def test_one_point_trajectory_has_no_column(self):
         assert classical_residual_mesh(Z, 0.2, constant(1.0), Sampled((3.0,), (1.0,))) == []

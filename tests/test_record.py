@@ -6,6 +6,7 @@ import math
 
 import pytest
 
+from cfts._record import keep_last
 from cfts.config import Scenario
 from cfts.fractional import CFOrder
 from cfts.linear import LinearCFProblem
@@ -112,3 +113,23 @@ def test_post_init_still_validates_and_normalizes():
     prob = NonlinearCFProblem(_GRID, _rhs, 0.2, 1e-14, 3.0, 1.0, CFOrder(0.25))
     assert prob.a == 0.0  # snapped to the scale by __post_init__
     assert _TS._los == (0.0, 2.0)  # cached_property still writes the instance
+
+
+def test_keep_last_serves_the_same_objects_only():
+    # the last result lives on the first argument and is served again only
+    # to the very same argument objects: an equal mesh whose zero has the
+    # other sign is walked anew, and each scale keeps its own walk
+    calls = []
+
+    @keep_last
+    def walk(ts, mesh):
+        calls.append(mesh)
+        return tuple(ts.cells(mesh))
+
+    ts, twin = TimeScale.interval(-1.0, 1.0), TimeScale.interval(-1.0, 1.0)
+    mesh, signed = (0.0, 1.0), (-0.0, 1.0)
+    first = walk(ts, mesh)
+    assert walk(ts, mesh) is first and len(calls) == 1
+    assert math.copysign(1.0, walk(ts, signed)[0][0]) == -1.0 and len(calls) == 2
+    assert walk(twin, mesh) == first and len(calls) == 3
+    assert walk(ts, mesh) == first and len(calls) == 4  # signed was ts's last
