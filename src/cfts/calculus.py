@@ -100,10 +100,6 @@ def _quad(fn: Callable[[float], float], lo: float, hi: float, tol: float,
     (lo, hi), then by bisecting the subinterval with the largest error
     estimate until the summed estimate is at most max(tol, rel*|integral|)
     with rel = max(1e-12, tol).
-
-    A lone first panel that already meets the rule is returned at once:
-    the fsum of one term is that term (with -0.0 read as 0.0), so this is
-    the value the queue would give.  One that fails it seeds the queue.
     """
     if hi <= lo:
         return 0.0
@@ -113,8 +109,6 @@ def _quad(fn: Callable[[float], float], lo: float, hi: float, tol: float,
     for a, b in zip(ends, ends[1:]):
         val, err = _qk15(fn, a, b)
         queue.append((-err, a, b, val))
-    if len(queue) == 1 and err <= max(tol, rel * abs(val)):
-        return val + 0.0
     heapq.heapify(queue)
     while True:
         total = math.fsum(q[3] for q in queue)

@@ -40,14 +40,7 @@ import os
 import sys
 from pathlib import Path
 
-from .config import (
-    ConfigError,
-    Scenario,
-    alpha_tag,
-    build_rhs,
-    build_signal,
-    parse_config,
-)
+from .config import ConfigError, Scenario, alpha_tag, parse_config
 from .errors import (
     DomainError,
     MaxIterationsExceeded,
@@ -59,7 +52,6 @@ from .errors import (
 from .fractional import CFOrder
 from .linear import (
     LinearCFProblem,
-    _resolve_mesh,
     classical_residual_mesh,
     classical_trajectory,
     residual_linear_mesh,
@@ -109,45 +101,32 @@ def _trajectory_rows(t_strings, xs, residuals) -> str:
 # -- simulate and solve-nonlinear --------------------------------------------
 
 
-def _linear_forcing(scn: Scenario):
-    """The forcing of a linear scenario, built once for all its alphas, and
-    its start-up value u(0) + lambda*x0."""
-    # a sample table is given on the run mesh
-    mesh = (_resolve_mesh(scn.ts, scn.horizon, scn.steps, None)
-            if scn.u_spec[0] == "samples" else None)
-    u = build_signal(scn.u_spec, mesh)
-    return u, value(u, scn.ts, 0.0) + scn.lam * scn.x0
-
-
-def _linear_trajectory(scn: Scenario, alpha: float, forcing):
-    """Solve one linear job: the trajectory, its residual column, the
-    verdict row when the scenario asks for one (alpha < 1) else None, and
-    the start-up value."""
-    u, startup = forcing
+def _linear_trajectory(scn: Scenario, alpha: float):
+    """Solve one linear job: the trajectory, its residual column, and the
+    verdict row when the scenario asks for one (alpha < 1) else None."""
     if alpha == 1.0:
-        traj = classical_trajectory(scn.ts, scn.lam, u, scn.x0,
+        traj = classical_trajectory(scn.ts, scn.lam, scn.u, scn.x0,
                                     horizon=scn.horizon, steps=scn.steps)
         # at the last point sigma(t) lies beyond the sampled horizon
-        resid = classical_residual_mesh(scn.ts, scn.lam, u, traj) + [math.nan]
-        return traj, resid, None, startup
-    prob = LinearCFProblem(scn.ts, scn.lam, u, scn.x0, CFOrder(alpha))
+        resid = classical_residual_mesh(scn.ts, scn.lam, scn.u, traj) + [math.nan]
+        return traj, resid, None
+    prob = LinearCFProblem(scn.ts, scn.lam, scn.u, scn.x0, CFOrder(alpha))
     traj = solve_linear_trajectory(prob, horizon=scn.horizon, steps=scn.steps)
     verdict = _scenario_verdict(scn, alpha) if "verdict" in scn.outputs else None
-    return traj, residual_linear_mesh(prob, traj, traj.mesh), verdict, startup
+    return traj, residual_linear_mesh(prob, traj, traj.mesh), verdict
 
 
-def _nonlinear_trajectory(scn: Scenario, alpha: float, rhs):
-    """Solve one nonlinear job: the fixed point, its residual column, its
-    line of the scenario report, and the start-up value f(a, x0)."""
-    prob = NonlinearCFProblem(scn.ts, rhs, scn.lipschitz,
+def _nonlinear_trajectory(scn: Scenario, alpha: float):
+    """Solve one nonlinear job: the fixed point, its residual column, and
+    its line of the scenario report."""
+    prob = NonlinearCFProblem(scn.ts, scn.rhs, scn.lipschitz,
                               scn.window[0], scn.window[1], scn.x0, CFOrder(alpha))
     result = picard_solve(prob)
     traj = result.solution
     line = (f"scenario={scn.name} alpha={alpha_tag(alpha)} "
             f"q={_fmt(result.contraction_q)} iterations={result.iterations} "
             f"final_defect={_fmt(result.final_defect)}")
-    return (traj, residual_nonlinear_mesh(prob, traj, traj.mesh), line,
-            prob.rhs(prob.a, prob.x0))
+    return traj, residual_nonlinear_mesh(prob, traj, traj.mesh), line
 
 
 #: The start-up value of each scenario kind and why a nonzero one leaves a
@@ -220,46 +199,45 @@ def verdict_row(lam: float, alpha: float, h: float | None,
 def _run(config_path: str, out_dir: str, kind: str) -> int:
     """The pipeline of ``simulate`` (kind 'linear') and ``solve-nonlinear``
     (kind 'nonlinear'): solve and check every job, then write."""
-    # kind -> (subcommand, what a scenario's jobs share, job, start-up
-    # label and condition); built per call so that a rebinding of a job
-    # function (a tracing wrapper, say) is seen
-    kinds = {"linear": ("simulate", _linear_forcing, _linear_trajectory,
-                        _LINEAR_STARTUP),
-             "nonlinear": ("solve-nonlinear", lambda scn: build_rhs(scn.rhs_spec),
-                           _nonlinear_trajectory, _NONLINEAR_STARTUP)}
     scenarios = parse_config(Path(config_path).read_text(encoding="utf-8"))
     for scn in scenarios:
         if scn.kind != kind:
-            raise ConfigError(f"scenario '{scn.name}' is {scn.kind}; "
-                              f"use 'cfts {kinds[scn.kind][0]}'")
-    _, prepare, job, startup_kind = kinds[kind]
+            command = "simulate" if scn.kind == "linear" else "solve-nonlinear"
+            raise ConfigError(f"scenario '{scn.name}' is {scn.kind}; use 'cfts {command}'")
+    linear = kind == "linear"
+    # looked up per call, so that a tracing wrapper bound in its place is seen
+    job = _linear_trajectory if linear else _nonlinear_trajectory
     runs = []
     for scn in scenarios:
-        shared = prepare(scn)
+        jobs = []
         for alpha in scn.alphas:
             try:
-                traj, resid, summary, startup = job(scn, alpha, shared)
+                traj, resid, summary = job(scn, alpha)
             except OverflowError:
                 raise DomainError(f"{scn.name} alpha={alpha_tag(alpha)}: an "
                                   f"intermediate value overflows the float range"
                                   ) from None
             _require_finite(scn.name, alpha, traj, resid)
-            runs.append((scn, alpha, traj, resid, summary, startup))
+            jobs.append((alpha, traj, resid, summary))
+        startup = (value(scn.u, scn.ts, 0.0) + scn.lam * scn.x0 if linear
+                   else scn.rhs(traj.mesh[0], scn.x0))
+        runs.append((scn, startup, jobs))
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
+    startup_kind = _LINEAR_STARTUP if linear else _NONLINEAR_STARTUP
     summaries: dict[str, list] = {}
     t_mesh = None
-    for scn, alpha, traj, resid, summary, startup in runs:
-        name = scn.name
-        _self_check(scn, alpha, traj, resid, startup_kind, startup)
-        if traj.mesh is not t_mesh:  # the alphas of a scenario share their mesh
-            t_mesh, t_strings = traj.mesh, ["%.17g" % t for t in traj.mesh]
-        _write_csv(out / f"{name}_alpha{alpha_tag(alpha)}.csv", TRAJECTORY_HEADER,
-                   _trajectory_rows(t_strings, traj.values, resid))
-        if summary is not None:
-            summaries.setdefault(name, []).append(summary)
+    for scn, startup, jobs in runs:
+        for alpha, traj, resid, summary in jobs:
+            _self_check(scn, alpha, traj, resid, startup_kind, startup)
+            if traj.mesh is not t_mesh:  # the alphas of a scenario share their mesh
+                t_mesh, t_strings = traj.mesh, ["%.17g" % t for t in traj.mesh]
+            _write_csv(out / f"{scn.name}_alpha{alpha_tag(alpha)}.csv",
+                       TRAJECTORY_HEADER, _trajectory_rows(t_strings, traj.values, resid))
+            if summary is not None:
+                summaries.setdefault(scn.name, []).append(summary)
     for name, rows in summaries.items():
-        if kind == "linear":
+        if linear:
             _write_csv(out / f"{name}_verdicts.csv", VERDICT_HEADER,
                        "".join([",".join(map(_fmt, row)) + "\n" for row in rows]))
         else:

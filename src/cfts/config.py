@@ -21,7 +21,9 @@ alpha of a scenario.  Keys:
                                          trajectory and residuals are
                                          always written)
 
-The ``constant`` and ``sin`` forcings are built by ``signals.constant`` and
+A scenario holds its forcing ``u`` (a sample table laid on its run mesh)
+or right-hand side ``rhs``, built once while the config is parsed.  The
+``constant`` and ``sin`` forcings are built by ``signals.constant`` and
 ``signals.sine``, whose exact kernel integrals spare every dense cell the
 quadrature; a ``poly`` forcing is a plain Closure integrated by quadrature.
 """
@@ -32,6 +34,7 @@ import math
 from typing import Callable
 
 from ._record import record
+from .linear import _resolve_mesh
 from .signals import Closure, Sampled, Signal, constant, sine
 from .timescale import Segment, TimeScale, parse_segment
 
@@ -59,8 +62,8 @@ class Scenario:
     alphas: tuple[float, ...]
     outputs: tuple[str, ...]
     lam: float | None = None
-    u_spec: tuple[str, ...] | None = None
-    rhs_spec: tuple[str, ...] | None = None
+    u: Signal | None = None        # linear: a sample table lies on the run mesh
+    rhs: Callable[[float, float], float] | None = None
     lipschitz: float | None = None
     window: tuple[float, float] | None = None
     horizon: float | None = None
@@ -174,13 +177,13 @@ def _build_scenario(name: str, header_line: int,
         raise ConfigError("a nonlinear scenario has no verdict output",
                           out[1], "outputs")
 
-    lam = u_spec = rhs_spec = lipschitz = window = horizon = steps = None
+    lam = u = rhs = lipschitz = window = horizon = steps = None
     if kind == "linear":
         lam_val, lam_line = need("lambda")
         lam = _floats([lam_val], lam_line, "lambda")[0]
         u_val, u_line = need("u")
         u_spec = tuple(u_val.split())
-        _validate_u_spec(u_spec, u_line)
+        _forcing_args(u_spec, u_line)  # its errors come before the horizon's
         h_val, h_line = need("horizon")
         htoks = h_val.split()
         if len(htoks) == 2 and htoks[0] == "steps":
@@ -193,12 +196,14 @@ def _build_scenario(name: str, header_line: int,
         else:
             raise ConfigError("horizon must be 'steps N' or 'time T'",
                               h_line, "horizon")
+        # a sample table is given on the run mesh
+        u = build_signal(u_spec, _resolve_mesh(ts, horizon, steps, None)
+                         if u_spec[0] == "samples" else None, u_line)
     else:
         if any(a >= 1.0 for a in alphas):
             raise ConfigError("the fixed-point solver needs alpha < 1", a_line, "alpha")
         r_val, r_line = need("rhs")
-        rhs_spec = tuple(r_val.split())
-        build_rhs(rhs_spec, r_line)  # validate eagerly
+        rhs = build_rhs(tuple(r_val.split()), r_line)
         l_val, l_line = need("lipschitz")
         lipschitz = _floats([l_val], l_line, "lipschitz")[0]
         w_val, w_line = need("window")
@@ -210,50 +215,42 @@ def _build_scenario(name: str, header_line: int,
     for key, (_, lineno) in fields.items():
         raise ConfigError(f"unknown key '{key}'", lineno, key)
 
-    return Scenario(name, ts, kind, x0, alphas, outputs, lam, u_spec,
-                    rhs_spec, lipschitz, window, horizon, steps)
+    return Scenario(name, ts, kind, x0, alphas, outputs, lam, u, rhs, lipschitz,
+                    window, horizon, steps)
 
 
-def _validate_u_spec(spec: tuple[str, ...], line: int) -> None:
-    kind = spec[0] if spec else ""
-    if kind == "constant" and len(spec) == 2:
-        pass
-    elif kind == "poly" and len(spec) >= 2:
-        pass
-    elif kind == "sin" and len(spec) == 4:
-        pass
-    elif kind == "samples" and len(spec) >= 2:
-        pass
-    else:
+def _forcing_args(spec: tuple[str, ...], line: int | None) -> tuple[str, tuple]:
+    """A forcing's form and numbers, checked against its form's arity."""
+    kind, n = (spec[0] if spec else ""), len(spec) - 1
+    if not {"constant": n == 1, "poly": n >= 1, "sin": n == 3,
+            "samples": n >= 1}.get(kind, False):
         raise ConfigError(
             f"u must be 'constant c' | 'poly c0 c1 ...' | 'sin amp freq phase' "
             f"| 'samples v0 ...', got {' '.join(spec)!r}", line, "u")
-    _floats(spec[1:], line, "u")
+    return kind, _floats(spec[1:], line, "u")
 
 
-def build_signal(spec: tuple[str, ...],
-                 mesh: tuple[float, ...] | None = None) -> Signal:
-    """Materialize a forcing signal from its config tokens."""
-    kind, args = spec[0], [float(s) for s in spec[1:]]
+def build_signal(spec: tuple[str, ...], mesh: tuple[float, ...] | None = None,
+                 line: int | None = None) -> Signal:
+    """Check a forcing's config tokens and build it; a sample table is laid
+    on ``mesh``, one value per point."""
+    kind, args = _forcing_args(spec, line)
     if kind == "constant":
         return constant(args[0])
     if kind == "poly":
-        coeffs = args
         return Closure(
-            lambda t: sum(c * t ** k for k, c in enumerate(coeffs)),
+            lambda t: sum(c * t ** k for k, c in enumerate(args)),
             derivative=lambda t: sum(k * c * t ** (k - 1)
-                                     for k, c in enumerate(coeffs) if k > 0))
+                                     for k, c in enumerate(args) if k > 0))
     if kind == "sin":
         return sine(*args)
-    if kind == "samples":
-        if mesh is None:
-            raise ConfigError("sample tables need a mesh", field_="u")
-        if len(args) != len(mesh):
-            raise ConfigError(
-                f"sample table has {len(args)} values but the mesh has "
-                f"{len(mesh)} points", field_="u")
-        return Sampled(mesh, tuple(args))
-    raise ConfigError(f"unknown signal form {kind!r}", field_="u")
+    if mesh is None:
+        raise ConfigError("sample tables need a mesh", field_="u")
+    if len(args) != len(mesh):
+        raise ConfigError(
+            f"sample table has {len(args)} values but the mesh has "
+            f"{len(mesh)} points", field_="u")
+    return Sampled(mesh, args)
 
 
 def build_rhs(spec: tuple[str, ...],

@@ -179,7 +179,8 @@ def classical_trajectory(ts: TimeScale, lam: float, u, x0: float,
     cells, _ = _walk(ts, mesh)  # the cells are the steps of a ts.mesh
     x = x0
     xs = [x]
-    for (lo, hi, mu), u_lo in zip(cells, _column(u, ts, mesh)):
+    # one cell per step, read at its left end
+    for (lo, hi, mu), u_lo in zip(cells, _column(u, ts, mesh)[:-1], strict=True):
         x = (x + mu * (lam * x + u_lo) if mu
              else math.exp(lam * (hi - lo)) * x + _u_run_integral(ts, u, lo, hi, lam))
         xs.append(x)

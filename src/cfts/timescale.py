@@ -17,7 +17,7 @@ from functools import cached_property
 from typing import Iterable, Sequence, Union
 
 from ._record import record
-from .errors import PointNotInTimeScale
+from .errors import DomainError, PointNotInTimeScale
 
 #: Relative tolerance for deciding that a float coincides with a lattice point.
 MEMBERSHIP_RTOL = 1e-12
@@ -36,7 +36,8 @@ def _close(x: float, y: float) -> bool:
 
 @record
 class ContinuousInterval:
-    """A closed real interval [a, b] with b > a."""
+    """A closed real interval [a, b] with b > a, its ends not within the
+    membership tolerance of each other."""
 
     a: float
     b: float
@@ -46,6 +47,9 @@ class ContinuousInterval:
             raise ValueError("interval endpoints must be finite")
         if self.b <= self.a:
             raise ValueError(f"interval needs b > a, got [{self.a}, {self.b}]")
+        if _close(self.a, self.b):
+            raise ValueError(f"interval [{self.a}, {self.b}] is no longer than "
+                             f"the membership tolerance")
 
     @property
     def lo(self) -> float:
@@ -58,7 +62,8 @@ class ContinuousInterval:
 
 @record
 class UniformGrid:
-    """Points start, start+step, ..., start+(count-1)*step with step > 0."""
+    """Points start, start+step, ..., start+(count-1)*step with step > 0,
+    no two of them within the membership tolerance of each other."""
 
     start: float
     step: float
@@ -69,6 +74,12 @@ class UniformGrid:
             raise ValueError("grid step must be positive")
         if self.count < 1:
             raise ValueError("grid needs at least one point")
+        # the tolerance grows with |t|, so the tightest pair is at an end
+        if self.count > 1 and math.isfinite(self.hi) and (
+                _close(self.start, self.point(1))
+                or _close(self.point(self.count - 2), self.hi)):
+            raise ValueError(f"grid step {self.step!r} is no longer than the "
+                             f"membership tolerance")
 
     def point(self, k: int) -> float:
         return self.start + k * self.step
@@ -379,6 +390,8 @@ class TimeScale:
         out: list[tuple[float, float, float]] = []
         k = 1  # next mesh point not yet passed
         for lo, hi, mu in self.atoms(mesh[0], mesh[-1]):
+            if mesh[k] < lo:
+                raise DomainError(f"mesh point {mesh[k]!r} is not a point of the scale")
             if not mu:
                 while mesh[k] < hi:
                     out.append((lo, mesh[k], 0.0))
@@ -393,7 +406,9 @@ class TimeScale:
         """All scattered points of [a, b] plus subdivided dense runs.
 
         Each dense run is split uniformly; by default into pieces no longer
-        than the run's length divided by DENSE_DIVISIONS.
+        than the run's length divided by DENSE_DIVISIONS, and into no more than
+        length / (2 * tol) pieces, tol the membership tolerance at the run's
+        far end, so that no two points of the mesh snap together.
         """
         a = self.snap(a)
         b = self.snap(b)
@@ -404,7 +419,8 @@ class TimeScale:
             else:
                 length = hi - lo
                 step = max_step if max_step is not None else length / DENSE_DIVISIONS
-                n = max(1, math.ceil(length / step - 1e-9))
+                n = max(1, min(math.ceil(length / step - 1e-9),
+                               int(length / (2.0 * _atol(max(abs(lo), abs(hi)))))))
                 pts.extend(lo + j * (length / n) for j in range(n))
         pts.append(b)
         return tuple(pts)

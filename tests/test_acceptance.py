@@ -34,7 +34,7 @@ import pytest
 
 from cfts.calculus import delta_derivative, exp_ts
 from cfts.cli import cmd_figures
-from cfts.config import build_signal, parse_config
+from cfts.config import parse_config
 from cfts.errors import NotContractive
 from cfts.fractional import CFOrder, cf_delta_left, cf_integral
 from cfts.linear import (
@@ -371,7 +371,7 @@ def test_criterion_10_self_verifying_outputs():
             for scn in parse_config((out / f"fig{which}.config").read_text()):
                 (grid,) = scn.ts.segments
                 h = grid.step
-                u0 = value(build_signal(scn.u_spec), scn.ts, 0.0)
+                u0 = value(scn.u, scn.ts, 0.0)
                 n = scn.steps if scn.steps is not None else round(scn.horizon / h)
                 for alpha in scn.alphas:
                     with open(out / f"{scn.name}_alpha{alpha:g}.csv") as fh:

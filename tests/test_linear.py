@@ -282,6 +282,12 @@ class TestResidual:
         dense = _mk(TimeScale.interval(0.0, 2.0), 0.2, RAMP, -5.0, 0.5)
         with pytest.raises(DomainError):
             residual_linear_mesh(dense, traj, (0.0, 1.5, 1.0, 2.0))
+        # a point in the gap before a dense run
+        gap = _mk(TimeScale.of(IsolatedPoint(0.0), ContinuousInterval(1.0, 2.0)),
+                  -0.5, constant(1.0), 0.0, 0.3)
+        with pytest.raises(DomainError):
+            residual_linear_mesh(gap, Sampled((0.0, 0.5, 2.0), (0.0, 0.1, 0.2)),
+                                 (0.0, 0.5, 2.0))
         assert len(residual_linear_mesh(prob, traj, (0.0, 1.0, 2.0))) == 3
 
     def test_constant_solution_residual_is_zero(self):

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cfts.errors import PointNotInTimeScale
+from cfts.errors import DomainError, PointNotInTimeScale
 from cfts.signals import Sampled, value
 from cfts.timescale import (
     ContinuousInterval,
@@ -116,12 +116,18 @@ class TestNormalization:
             TimeScale.of()
 
     def test_bad_segments_rejected(self):
-        with pytest.raises(ValueError):
-            ContinuousInterval(1.0, 1.0)
+        # an interval whose ends lie within the membership tolerance too
+        for a, b in ((1.0, 1.0), (0.0, 1e-12), (1e6, 1e6 + 1e-7)):
+            with pytest.raises(ValueError):
+                ContinuousInterval(a, b)
         with pytest.raises(ValueError):
             UniformGrid(0.0, -1.0, 5)
         with pytest.raises(ValueError):
             UniformGrid(0.0, 1.0, 0)
+        # a grid whose neighbouring points lie within the tolerance
+        for start, step in ((0.0, 1e-12), (1e6, 1e-7), (-1e6, 1e-7)):
+            with pytest.raises(ValueError):
+                UniformGrid(start, step, 3)
         for bad in (UniformGrid(0.0, math.nan, 5), UniformGrid(0.0, math.inf, 3),
                     IsolatedPoint(math.nan), IsolatedPoint(math.inf)):
             with pytest.raises(ValueError):
@@ -375,6 +381,25 @@ def _is_point_of(s, x):
     if isinstance(s, ContinuousInterval):
         return s.a <= x <= s.b
     return x in _points_of(s)
+
+
+def test_cells_reject_a_mesh_point_in_a_gap():
+    ts = TimeScale.of(IsolatedPoint(0.0), ContinuousInterval(1.0, 2.0))
+    with pytest.raises(DomainError):
+        ts.cells((0.0, 0.5, 2.0))
+
+
+@pytest.mark.parametrize("lo, length", [(0.0, 2e-12), (0.0, 1e-10), (-1e6, 1e-4),
+                                        (1e6, 2.5e-6)])
+def test_mesh_pieces_outlast_the_tolerance(lo, length):
+    # a dense run cut into DENSE_DIVISIONS pieces, or by a tiny max_step,
+    # would give points that snap together
+    ts = TimeScale.of(ContinuousInterval(lo, lo + length), IsolatedPoint(lo + 1.0))
+    for max_step in (None, 1e-300):
+        mesh = ts.mesh(lo, lo + 1.0, max_step)
+        assert [ts.snap(t) for t in mesh] == list(mesh)
+        assert min(b - a for a, b in zip(mesh, mesh[1:])) > _atol(lo + length)
+        assert len(ts.cells(mesh)) == len(mesh) - 1
 
 
 @settings(max_examples=150, deadline=None)
