@@ -407,8 +407,8 @@ class TimeScale:
 
         Each dense run is split uniformly; by default into pieces no longer
         than the run's length divided by DENSE_DIVISIONS, and into no more than
-        length / (2 * tol) pieces, tol the membership tolerance at the run's
-        far end, so that no two points of the mesh snap together.
+        length / (2 * tol) pieces, tol the largest membership tolerance on
+        the run, so that no two points of the mesh snap together.
         """
         a = self.snap(a)
         b = self.snap(b)

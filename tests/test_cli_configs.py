@@ -28,8 +28,8 @@ from cfts.timescale import MEMBERSHIP_RTOL, TimeScale, parse_segment
 #: README's exit codes for a run whose stdout stays open.
 DOCUMENTED_EXITS = {0, 2, 3, 4, 5}
 
-#: A dense run no longer than the membership tolerance next to a point
-#: (ROADMAP item 8): it used to end in a traceback or a mesh error.
+#: A dense run a few membership tolerances long next to a point: cut into
+#: DENSE_DIVISIONS pieces, its mesh points would snap together.
 SHORT_RUN = """\
 [scenario s]
 segment = interval 0 {length}
