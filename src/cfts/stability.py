@@ -217,7 +217,9 @@ def _r(alpha: float) -> _Block:
                 or d <= BOUNDARY_TOL * abs(lam)):
             return StabilityVerdict(BOUNDARY, OUTSIDE, p, bounds, "continuous")
         stable = lam < 0.0 or lam > thr
-        assert stable == (p < 0.0)
+        # the sign of p, read from lam and K: p itself underflows to -0.0
+        # for a subnormal alpha
+        assert stable == ((lam < 0.0) != (K < 0.0))
         return StabilityVerdict(STABLE if stable else UNSTABLE,
                                 IN_SC if stable else OUTSIDE, p, bounds, "continuous")
 

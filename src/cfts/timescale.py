@@ -385,7 +385,8 @@ class TimeScale:
         mesh points inside it.  The cells tile the span, and every mesh
         point after the first is the hi of a cell; a one-point span
         (mesh[0] == mesh[-1]) has none.  The mesh must be increasing
-        canonical points (as ``snap`` and ``mesh`` return them).
+        canonical points (as ``snap`` and ``mesh`` return them); one in the
+        gap before an atom raises DomainError.
         """
         out: list[tuple[float, float, float]] = []
         k = 1  # next mesh point not yet passed

@@ -42,6 +42,33 @@ alpha = {alpha}
 horizon = steps 1
 """
 
+#: A grid whose step is below the tolerance at its magnitude: 1e16 + 1
+#: rounds to 1e16, so two of its points coincide.
+COLLAPSED_GRID = """\
+[scenario s]
+segment = interval 0 1
+segment = grid 1e16 1 3
+equation = linear
+lambda = 0
+u = constant 0
+x0 = 0
+alpha = 0
+horizon = steps 0
+"""
+
+#: A stable verdict whose p_alpha = lambda*alpha/K underflows to -0.0.
+SUBNORMAL_ALPHA = """\
+[scenario s]
+segment = interval 0 1
+equation = linear
+lambda = -1
+u = constant 0
+x0 = 0
+alpha = 5e-324
+horizon = steps 0
+outputs = trajectory verdict
+"""
+
 
 def _now_and_then(n):
     """True about once in n draws; False in the simplest example."""
@@ -220,6 +247,8 @@ def _check_success(out, text):
 @example(("simulate", SHORT_RUN.format(length="1e-12", alpha="0.5")))
 @example(("simulate", SHORT_RUN.format(length="2e-12", alpha="0.5 1")))
 @example(("simulate", SHORT_RUN.format(length="1e-10", alpha="0.5 1")))
+@example(("simulate", COLLAPSED_GRID))
+@example(("simulate", SUBNORMAL_ALPHA))
 def test_every_config_ends_in_a_documented_outcome(case):
     command, text = case
     with tempfile.TemporaryDirectory() as tmp:
