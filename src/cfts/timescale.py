@@ -150,6 +150,14 @@ class PointClass(Enum):
     LEFT_DENSE_RIGHT_SCATTERED = "left-dense-right-scattered"
 
 
+def _without_end(s: UniformGrid | IsolatedPoint, first: bool) -> list[Segment]:
+    """A grid or point without its first (or else its last) point."""
+    if isinstance(s, IsolatedPoint):
+        return []
+    start = s.point(1) if first else s.start
+    return [UniformGrid(start, s.step, s.count - 1) if s.count > 2 else IsolatedPoint(start)]
+
+
 def _normalize(segments: Iterable[Segment]) -> tuple[Segment, ...]:
     segs: list[Segment] = []
     for s in segments:
@@ -162,37 +170,22 @@ def _normalize(segments: Iterable[Segment]) -> tuple[Segment, ...]:
         raise ValueError("a time scale needs at least one segment")
     segs.sort(key=lambda s: s.lo)
 
-    out: list[Segment] = []
-    for cur in segs:
-        if not out:
-            out.append(cur)
-            continue
+    out: list[Segment] = segs[:1]
+    for cur in segs[1:]:
         prev = out[-1]
         if cur.lo > prev.hi and not _close(cur.lo, prev.hi):
             out.append(cur)
             continue
         if cur.lo < prev.hi and not _close(cur.lo, prev.hi):
             raise ValueError(f"segments overlap near t={cur.lo!r}")
-        # Segments touch at one shared point: keep the union, drop the duplicate.
-        if isinstance(prev, ContinuousInterval) and isinstance(cur, ContinuousInterval):
+        # They share a point: two intervals merge, a later interval takes it
+        # from a grid or point, and any other later segment gives it up.
+        if not isinstance(cur, ContinuousInterval):
+            out += _without_end(cur, first=True)
+        elif isinstance(prev, ContinuousInterval):
             out[-1] = ContinuousInterval(prev.a, cur.b)
-        elif isinstance(cur, IsolatedPoint):
-            pass  # already covered by prev
-        elif isinstance(cur, UniformGrid):
-            if cur.count == 2:
-                out.append(IsolatedPoint(cur.point(1)))
-            else:
-                out.append(UniformGrid(cur.point(1), cur.step, cur.count - 1))
-        else:  # cur is an interval whose left end duplicates prev's last point
-            if isinstance(prev, IsolatedPoint):
-                out[-1] = cur
-            else:  # prev is a grid: trim its duplicated last point
-                assert isinstance(prev, UniformGrid)
-                if prev.count == 2:
-                    out[-1] = IsolatedPoint(prev.start)
-                else:
-                    out[-1] = UniformGrid(prev.start, prev.step, prev.count - 1)
-                out.append(cur)
+        else:
+            out[-1:] = [*_without_end(prev, first=False), cur]
     return tuple(out)
 
 
@@ -363,9 +356,8 @@ class TimeScale:
                     out.append((s.b, nxt, nxt - s.b))
             elif isinstance(s, UniformGrid):
                 start, step = s.start, s.step
+                # a is a point of this grid or lies before it
                 k_lo = max(0, math.ceil((a - start) / step - 0.5))
-                while s.point(k_lo) < a and not _close(s.point(k_lo), a):
-                    k_lo += 1
                 # the points from k_lo up to the first at or past b, then
                 # nxt after the grid's last point
                 k_hi = min(s.count, max(k_lo, math.ceil((b - start) / step)) + 2)

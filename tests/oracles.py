@@ -59,6 +59,22 @@ def oracle_startup_defect_discrete(lam, alpha, h, u0, x0, k):
     return C * ((1.0 + h * abar) ** k / (1.0 - alpha) - lam)
 
 
+def oracle_integral_equation(mesh, x, u, lam, alpha, x0):
+    """The integral form of D^alpha x = lam*x + u (M = 1) on a mesh of
+    scattered points, as pairs (defect, S_k) at each mesh point t_k:
+
+    x(t_k) - x0 - (1-alpha)*(f(t_k) - f(t_0)) - alpha*S_k, with f = lam*x + u
+    and S_k = sum_{j<k} (t_{j+1} - t_j)*f(t_j), the delta integral of f.
+    """
+    f = [lam * xk + uk for xk, uk in zip(x, u)]
+    out, s = [], 0.0
+    for k in range(len(mesh)):
+        if k:
+            s += (mesh[k] - mesh[k - 1]) * f[k - 1]
+        out.append((x[k] - x0 - (1.0 - alpha) * (f[k] - f[0]) - alpha * s, s))
+    return out
+
+
 def oracle_classical(lam, h, u_samples, x0, k):
     """Step-exact recurrence for x^delta = lam*x + u on a uniform grid."""
     x = x0

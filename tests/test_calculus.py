@@ -283,13 +283,15 @@ class TestGaussKronrod:
             _quad(lambda t: math.sin(20000.0 * t), 0.0, 50.0, 1e-10)
 
 
-def _kernel_oracle(u, lo, hi, p):
+def _kernel_oracle(u, lo, hi, p, mass):
     """integral_lo^hi u(tau) exp(p*(hi - tau)) dtau by adaptive quadrature in
     s = hi - tau, so that the nodes near the kernel's peak at s = 0 carry no
-    rounding of tau (a steep kernel would amplify it)."""
+    rounding of tau (a steep kernel would amplify it).  The tolerance is
+    1e-13 of the kernel mass, and at most 1e-13, since _quad also stops at
+    max(1e-12, tol) relative to the integral."""
     d = hi - lo
-    return _quad(lambda s: u.func(hi - s) * math.exp(p * s), 0.0, d, 1e-13,
-                 _kernel_breakpoints(0.0, d, p))
+    return _quad(lambda s: u.func(hi - s) * math.exp(p * s), 0.0, d,
+                 1e-13 * min(1.0, mass) + 1e-300, _kernel_breakpoints(0.0, d, p))
 
 
 _LOG = st.floats(-9.0, 5.0)
@@ -297,8 +299,8 @@ _LOG = st.floats(-9.0, 5.0)
 
 class TestClosedFormKernelIntegral:
     """constant and sine integrate a dense cell against exp(p*(hi - tau))
-    exactly; quadrature to 1e-13 is the judge, within 1e-11 of the kernel
-    mass |amp| * integral exp(p*(hi - tau)) dtau."""
+    exactly; quadrature to 1e-13 of the kernel mass |amp| * integral
+    exp(p*(hi - tau)) dtau is the judge, within 1e-11 of that mass."""
 
     @settings(max_examples=300, deadline=None)
     @given(lo=st.floats(-10.0, 10.0), log_d=st.floats(-9.0, 0.5),
@@ -320,7 +322,7 @@ class TestClosedFormKernelIntegral:
         mass = abs(amp) * (math.expm1(p * d) / p if p else d)
         for u in (sine(amp, freq, phase), constant(amp)):
             got = u.kernel_integral(lo, hi, p)
-            assert abs(got - _kernel_oracle(u, lo, hi, p)) <= 1e-11 * mass
+            assert abs(got - _kernel_oracle(u, lo, hi, p, mass)) <= 1e-11 * mass
 
     @pytest.mark.parametrize("a,b", [(0.0, 1e-9), (0.0, 2.5), (-3.0, 40.0)])
     def test_delta_integral_is_the_rate_zero_case(self, a, b):
@@ -365,6 +367,7 @@ class TestSampledKernelIntegral:
     @example(log_h=-2.0, p=-0.99, c0=1.0, c1=1.0)  # |p*h| just under 1e-2
     @example(log_h=-2.0, p=-1.01, c0=1.0, c1=1.0)  # and just over
     @example(log_h=0.0, p=-1e4, c0=0.0, c1=1.0)  # the kernel's mass within 1e-4 of hi
+    @example(log_h=-0.4375, p=-10.0, c0=0.0, c1=1.447680174752794e-151)  # a tiny mass
     def test_exact_on_linear_data(self, log_h, p, c0, c1):
         h = 10.0 ** log_h
         mesh = tuple(1.0 + k * h for k in range(6))
@@ -375,5 +378,5 @@ class TestSampledKernelIntegral:
         d = hi - lo
         assume(p * d <= 30.0)
         mass = (abs(c0) + abs(c1) * hi) * (math.expm1(p * d) / p if p else d)
-        assert abs(_u_run_integral(ts, u, lo, hi, p) - _kernel_oracle(line, lo, hi, p)) \
+        assert abs(_u_run_integral(ts, u, lo, hi, p) - _kernel_oracle(line, lo, hi, p, mass)) \
             <= 1e-12 * mass + 1e-300

@@ -66,14 +66,14 @@ def _read(path):
         return list(csv.DictReader(fh))
 
 
-def _one_line_error(rc, capsys, code=2):
-    """Assert the exit code (default 2), a single stderr line and an empty
-    stdout; return the prefix of the stderr line."""
+def _one_line_error(rc, capsys, code=2, message=""):
+    """Assert the exit code (default 2), a single stderr line ending in
+    ``message`` and an empty stdout; return the prefix of the stderr line."""
     out, err = capsys.readouterr()
     assert rc == code
     assert out == ""
     assert "Traceback" not in err
-    assert err.endswith("\n") and err.count("\n") == 1
+    assert err.endswith(message + "\n") and err.count("\n") == 1, err
     return err.split(":", 1)[0]
 
 
@@ -177,6 +177,39 @@ class TestConfigParsing:
         assert _one_line_error(main([command, str(cfg), "--out", str(out)]),
                                capsys) == "config error"
         assert not out.exists()
+
+    @pytest.mark.parametrize("command, text, where", [
+        ("simulate", LINEAR_CONFIG.replace("[scenario demo]", "[scenario demo"), "(line 2)"),
+        ("simulate", LINEAR_CONFIG.replace("[scenario demo]", "[run demo]"), "(line 2)"),
+        ("simulate", LINEAR_CONFIG.replace("lambda = 0.2", "lambda 0.2"), "(line 5)"),
+        ("simulate", "x0 = 1\n" + LINEAR_CONFIG, "(line 1)"),
+        ("simulate", "# nothing\n", "config defines no scenarios"),
+        ("simulate", LINEAR_CONFIG.replace("equation = linear", "equation = cubic"),
+         "(line 4, field 'equation')"),
+        ("simulate", LINEAR_CONFIG.replace("outputs = trajectory", "outputs = trajectory plot"),
+         "(line 10, field 'outputs')"),
+        ("simulate", LINEAR_CONFIG.replace("steps 30", "steps 2.5"),
+         "(line 9, field 'horizon')"),
+        ("simulate", LINEAR_CONFIG.replace("steps 30", "until 30"),
+         "(line 9, field 'horizon')"),
+        ("solve-nonlinear", NONLINEAR_CONFIG.replace("affine 0.2 1", "cubic 1"),
+         "(line 4, field 'rhs')"),
+    ], ids=["unterminated-header", "bad-header", "no-equals-sign", "key-outside-section",
+            "no-scenarios", "bad-equation", "unknown-output", "non-integer-steps",
+            "bad-horizon", "bad-rhs"])
+    def test_config_error_names_its_line(self, tmp_path, capsys, command, text, where):
+        cfg = tmp_path / "bad.config"
+        cfg.write_text(text)
+        out = tmp_path / "out"
+        assert _one_line_error(main([command, str(cfg), "--out", str(out)]), capsys,
+                               message=where) == "config error"
+        assert not out.exists()
+
+    def test_sample_table_needs_a_mesh(self):
+        with pytest.raises(ConfigError) as err:
+            build_signal(("samples", "1"))
+        assert (err.value.line, err.value.field) == (None, "u")
+        assert str(err.value) == "sample tables need a mesh (field 'u')"
 
     def test_rhs_forms(self):
         f = build_rhs(("affine", "0.5", "-1"))

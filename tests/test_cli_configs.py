@@ -4,7 +4,8 @@ output or a documented exit.
 A hypothesis strategy writes one-scenario configs: all three segment kinds
 with gaps and lengths near the membership tolerance, all four forcings and
 all three right-hand sides, magnitudes up to 1e300, both equations, and now
-and then a malformed token or the other subcommand.  Each config runs
+and then a malformed token, the other subcommand or alpha = 1/(1 + h) for a
+grid step h, whose kernel factor vanishes on the grid.  Each config runs
 through ``cli.main`` in process, twice.  Dense runs are cut into at most
 ``DENSE_DIVISIONS`` pieces and grids have at most six points, so no mesh
 exceeds a few hundred points.
@@ -17,7 +18,7 @@ import math
 import tempfile
 from pathlib import Path
 
-from hypothesis import HealthCheck, example, given, settings
+from hypothesis import HealthCheck, event, example, given, settings
 from hypothesis import strategies as st
 
 from cfts.cli import main
@@ -67,6 +68,34 @@ x0 = 0
 alpha = 5e-324
 horizon = steps 0
 outputs = trajectory verdict
+"""
+
+
+#: p = lambda*alpha/K = -1/3 against the gap mu = 3 after the grid: exit 3.
+GAP_KILLS_P = """\
+[scenario s]
+segment = grid 0 1 5
+segment = point 7
+equation = linear
+lambda = -1
+u = constant 1
+x0 = 1
+alpha = 0.5
+horizon = steps 1
+"""
+
+#: alpha_bar = alpha/(alpha - 1) = -4, so the kernel factor 1 + mu*alpha_bar
+#: vanishes on the grid of step 0.25 before the interval: exit 3.
+GRID_KILLS_KERNEL = """\
+[scenario s]
+segment = grid 0 0.25 5
+segment = interval 2 3
+equation = linear
+lambda = 0
+u = constant 0
+x0 = 0
+alpha = 0.8
+horizon = time 2.5
 """
 
 
@@ -167,6 +196,10 @@ def configs(draw):
     linear = draw(st.booleans())
     top = 1.0 if linear or draw(_now_and_then(21)) else 0.99
     alpha_values = st.sampled_from((0.0, 0.25, 0.5, 0.9, top)) | st.floats(0.0, top)
+    steps = [float(s.split()[2]) for s in segs if s.startswith("grid")]
+    if steps and draw(_now_and_then(5)):
+        # the kernel factor 1 + h*alpha_bar vanishes at graininess h
+        alpha_values = st.sampled_from([1.0 / (1.0 + h) for h in steps])
     # two alphas with one tag now and then
     alphas = draw(st.lists(alpha_values, min_size=1, max_size=3,
                            unique_by=None if draw(_now_and_then(21))
@@ -249,6 +282,8 @@ def _check_success(out, text):
 @example(("simulate", SHORT_RUN.format(length="1e-10", alpha="0.5 1")))
 @example(("simulate", COLLAPSED_GRID))
 @example(("simulate", SUBNORMAL_ALPHA))
+@example(("simulate", GAP_KILLS_P))
+@example(("simulate", GRID_KILLS_KERNEL))
 def test_every_config_ends_in_a_documented_outcome(case):
     command, text = case
     with tempfile.TemporaryDirectory() as tmp:
@@ -258,6 +293,7 @@ def test_every_config_ends_in_a_documented_outcome(case):
         for tag in ("first", "second"):
             out = Path(tmp) / tag
             code, stdout, stderr = _run([command, str(cfg), "--out", str(out)])
+            event(f"exit {code}")
             runs.append((code, stdout, stderr.replace(str(out), "OUT"), _outputs(out)))
             assert code in DOCUMENTED_EXITS, (code, stderr)
             assert "Traceback" not in stderr

@@ -2,7 +2,7 @@ import math
 import random
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import example, given, reject, settings
 from hypothesis import strategies as st
 
 from cfts.calculus import delta_derivative, exp_ts
@@ -20,8 +20,8 @@ from cfts.linear import (
 from cfts.signals import Closure, Sampled, constant, sine, value
 from cfts.timescale import ContinuousInterval, IsolatedPoint, TimeScale, UniformGrid
 
-from .oracles import oracle_classical, oracle_linear_discrete
-from .test_timescale import hybrid_scales
+from .oracles import oracle_classical, oracle_integral_equation, oracle_linear_discrete
+from .test_timescale import hybrid_scales, hybrid_segments
 
 Z = TimeScale.integers(0, 40)
 RAMP = Closure(lambda t: t + 1.0, derivative=lambda t: 1.0)
@@ -336,6 +336,40 @@ class TestSampledForcing:
         assert classical == pytest.approx(-7.5615e-4, rel=1e-4)
         assert (classical_trajectory(ts, -1000.0, sampled, 0.0, horizon=4.0).values[-1]
                 == pytest.approx(classical, rel=1e-2))
+
+
+@settings(max_examples=150, deadline=None)
+@given(hybrid_segments(start=0.0, kinds=("grid", "point")), st.floats(0.05, 0.95),
+       st.floats(-2.0, 1.0), st.floats(-2.0, 2.0), st.floats(-2.0, 2.0),
+       st.floats(0.1, 5.0), st.floats(-3.2, 3.2))
+def test_closed_form_meets_the_integral_equation_on_point_and_grid_scales(
+        segs, alpha, lam, x0, amp, freq, phase):
+    """On compatible data, u(0) + lambda*x0 = 0, with a sine-plus-constant
+    forcing, every point of the trajectory meets the integral form of the
+    equation, the scale's points touching or apart.
+
+    The closed form adds terms as large as e_p(t, 0) times x0 or u, so its
+    rounding grows with them even where x stays small (x = x0 for u = -lam*x0,
+    while e_p grows for p > 0); the bound scales with their product
+    |e_p| = prod |1 + mu*p| too.
+    """
+    c = -lam * x0 - amp * math.sin(phase)
+    ts = TimeScale.of(*segs)
+    try:
+        prob = _mk(ts, lam, Closure(lambda t: c + amp * math.sin(freq * t + phase)),
+                   x0, alpha)
+    except NotRegressive:
+        reject()
+    x = solve_linear_trajectory(prob, horizon=ts.t_max)
+    u = [c + amp * math.sin(freq * t + phase) for t in x.mesh]
+    defects = oracle_integral_equation(x.mesh, x.values, u, lam, alpha, x0)
+    p = lam * alpha / (1.0 - lam * (1.0 - alpha))
+    growth, size = 1.0, abs(x0)
+    for k, (t, xk, (defect, s)) in enumerate(zip(x.mesh, x.values, defects)):
+        if k:
+            growth *= abs(1.0 + (t - x.mesh[k - 1]) * p)
+        size = max(size, abs(u[k]))
+        assert abs(defect) <= 1e-12 * max(1.0, abs(xk), abs(s), growth * size), t
 
 
 @st.composite

@@ -313,14 +313,16 @@ def _scan_locate(ts, t):
 
 
 @st.composite
-def hybrid_scales(draw):
-    """Up to 40 segments, one-point grids included, each touching the last
-    exactly, within tolerance, at the tolerance plus a few ulps (which the
-    sum with pos rounds to either side of it), or after a gap."""
-    pos = draw(st.floats(-1e4, 1e4))
+def hybrid_segments(draw, start=None, kinds=("interval", "grid", "point")):
+    """Up to 40 segments from ``kinds`` in increasing order from ``start``
+    (drawn in [-1e4, 1e4] when None), one-point grids included, each
+    touching the last exactly, within tolerance, at the tolerance plus a few
+    ulps (which the sum with pos rounds to either side of it), or after a
+    gap."""
+    pos = draw(st.floats(-1e4, 1e4)) if start is None else start
     segs = []
     for _ in range(draw(st.integers(1, 40))):
-        kind = draw(st.sampled_from(["interval", "grid", "point"]))
+        kind = draw(st.sampled_from(kinds))
         if kind == "interval":
             length = draw(st.floats(1e-3, 3.0))
             segs.append(ContinuousInterval(pos, pos + length))
@@ -336,7 +338,84 @@ def hybrid_scales(draw):
         pos += draw(st.one_of(st.just(0.0), st.floats(0.0, 3.0 * tol),
                               st.integers(1, 4).map(lambda k: tol * (1 + k * 2**-52)),
                               st.floats(1e-3, 2.0)))
-    return TimeScale.of(*segs)
+    return segs
+
+
+def hybrid_scales():
+    """The time scales of ``hybrid_segments``."""
+    return hybrid_segments().map(lambda segs: TimeScale.of(*segs))
+
+
+def _scattered(segs):
+    """The points of the grids and isolated points of segs, in order, a grid's
+    as start + k*step."""
+    return [t for s in segs if not isinstance(s, ContinuousInterval)
+            for t in _points_of(s)]
+
+
+def _union_by_the_shared_point_rule(segs):
+    """The dense runs and scattered points of the union of segments given in
+    increasing order.  Touching intervals merge.  A point in a dense run or
+    within tolerance of its end, or of the last point kept before it, is
+    dropped; so is a point within tolerance of a later run's start.  A grid
+    whose first point is dropped is held from its second, as
+    (start + step) + k*step."""
+    runs = []
+    for s in segs:
+        if not isinstance(s, ContinuousInterval):
+            continue
+        if runs and _close(s.a, runs[-1][1]):
+            runs[-1] = (runs[-1][0], s.b)
+        else:
+            runs.append((s.a, s.b))
+    points = []
+    for s in segs:
+        if isinstance(s, ContinuousInterval):
+            continue
+        pts = _points_of(s)
+        if (any(a <= pts[0] and (pts[0] <= b or _close(pts[0], b)) for a, b in runs)
+                or points and _close(pts[0], points[-1])):
+            pts = [pts[1] + k * s.step for k in range(len(pts) - 1)] if pts[1:] else []
+        points += pts
+    return runs, [t for t in points if not any(_close(t, a) for a, _ in runs)]
+
+
+@settings(max_examples=200, deadline=None)
+@given(hybrid_segments())
+def test_normalization_keeps_the_union_by_the_shared_point_rule(segs):
+    ts = TimeScale.of(*segs)
+    runs, points = _union_by_the_shared_point_rule(segs)
+    assert [(s.a, s.b) for s in ts.segments if isinstance(s, ContinuousInterval)] == runs
+    assert _scattered(ts.segments) == points
+    ends = [t for run in runs for t in run] + points
+    assert ts.window == (min(ends), max(ends))
+    for s, n in zip(ts.segments, ts.segments[1:]):
+        assert n.lo > s.hi and not _close(n.lo, s.hi)
+
+
+def _brute_force_atoms(ts, a, b):
+    """The cells (lo, hi, mu) of [a, b) from the sorted scattered points and
+    the dense runs of ts: each dense run's part inside [a, b), and a cell from
+    each scattered point or right-scattered run end in [a, b) to the next
+    point where a segment starts."""
+    runs = [(s.a, s.b) for s in ts.segments if isinstance(s, ContinuousInterval)]
+    points = sorted(_scattered(ts.segments))
+    starts = sorted(points + [lo for lo, _ in runs])
+    out = [(max(lo, a), min(hi, b), 0.0) for lo, hi in runs if max(lo, a) < min(hi, b)]
+    for t in points + [hi for _, hi in runs]:
+        if a <= t < b:
+            nxt = min(x for x in starts if x > t)
+            out.append((t, nxt, nxt - t))
+    return sorted(out)
+
+
+@settings(max_examples=200, deadline=None)
+@given(hybrid_scales(), st.data())
+def test_atoms_match_the_brute_force_cells(ts, data):
+    picks = [t for s in ts.segments for t in _points_of(s)]
+    for _ in range(4):
+        a, b = sorted(data.draw(st.lists(st.sampled_from(picks), min_size=2, max_size=2)))
+        assert ts.atoms(a, b) == _brute_force_atoms(ts, a, b), (a, b)
 
 
 @settings(max_examples=200, deadline=None)
