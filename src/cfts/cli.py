@@ -60,10 +60,9 @@ from .linear import (
 from .nonlinear import NonlinearCFProblem, picard_solve, residual_nonlinear_mesh
 from .stability import (
     StabilityVerdict,
+    _block,
     _classify_block,
-    _hz,
     _p_column,
-    _r,
     classify_hz,
     classify_r,
 )
@@ -290,7 +289,7 @@ def cmd_stability(lams, alphas, hs, continuous: bool, out_path: str | None) -> i
     blocks = ([(alpha, None) for alpha in alphas] if continuous
               else [(alpha, h) for h in hs for alpha in alphas])
     for alpha, h in blocks:
-        _r(alpha) if h is None else _hz(alpha, h)
+        _block(alpha, h)
     lam_strs = [f"{lam:.17g}" for lam in lams]
     p_cols: dict[float, tuple[list[float], list[str]]] = {}
     with (open(out_path, "w", newline="") if out_path

@@ -4,8 +4,10 @@ With K = 1 - lambda*(1-alpha) and p = lambda*alpha/K, stability is
 membership of p in the stability set of the time scale: for a step-h grid
 the real slice of the Hilger disc, p in (-2/h, 0); for the reals,
 Re p < 0, which in terms of lambda reads "lambda < 0 or
-lambda > 1/(1-alpha)".  A windowed average of log|1 + mu*p|/mu provides
-finite-horizon numeric evidence for general hybrid scales.
+lambda > 1/(1-alpha)".  The reals are the step-0 case of the one grid
+classifier: as h -> 0 the edge -2/h of the disc goes to -inf.  A windowed
+average of log|1 + mu*p|/mu provides finite-horizon numeric evidence for
+general hybrid scales.
 
 Everything that depends only on (alpha, h) -- the validation, the branch,
 the thresholds, their bounds tuples and their bands -- is computed once
@@ -22,19 +24,20 @@ violation.
 A sweep classifies one (alpha, h) block by its cells.  The verdict
 changes only near a few cut points: in lambda 0, the pole 1/(1-alpha) and
 the threshold -2/A (A = h*alpha - 2(1-alpha)); in p 0, the edge -2/h and
-the S_R point -1/h (on the reals: lambda 0 and 1/(1-alpha), p 0).  Each
-finite cut c gets the band c +- 1e3 * BOUNDARY_TOL * max(1, |c|), and
+the S_R point -1/h (on the reals, the grid of step 0, the edge and the
+S_R point lie at -inf and the threshold -2/A is the pole).  Each finite
+cut c gets the band c +- 1e3 * BOUNDARY_TOL * max(1, |c|), and
 overlapping bands are merged.  A row whose lambda and p both lie outside
 every band is 1000 times further from each boundary test than the test
 reaches (|x - y| <= BOUNDARY_TOL * max(1, |y|) or BOUNDARY_TOL * |x|,
 |K| <= BOUNDARY_TOL, |1 + h*p| <= BOUNDARY_TOL), so the classifier ends
-at its last line, ``edge < p < 0``: the p-region fixes the status and the
-lambda-region the bounds.  Such a row takes the verdict of the first row
-of its (lambda-region, p-region) cell; every row inside a band, or with
-p NaN, is classified on its own.  The rows are walked in runs of one
-cell, and only the row that leaves the previous row's cell is looked up,
-so a sorted sweep pays a few lookups per block and any other order stays
-exact.
+at its last line, the test of p against the edge and 0: the p-region
+fixes the status and the lambda-region the bounds.  Such a row takes the
+verdict of the first row of its (lambda-region, p-region) cell; every
+row inside a band, or with p NaN, is classified on its own.  The rows
+are walked in runs of one cell, and only the row that leaves the
+previous row's cell is looked up, so a sorted sweep pays a few lookups
+per block and any other order stays exact.
 """
 
 from __future__ import annotations
@@ -113,27 +116,40 @@ def _band(y: float) -> float:
 
 
 @functools.lru_cache(maxsize=64)
-def _hz(alpha: float, h: float) -> _Block:
-    """The step-h grid classifier of one (alpha, h) pair and its bands;
-    raises DomainError for an alpha or h out of range."""
-    if h <= 0.0:
-        raise DomainError("grid step h must be positive")
-    if not 0.0 < alpha <= 1.0:
-        raise DomainError("classify_hz needs alpha in (0, 1]")
+def _block(alpha: float, h: float | None) -> _Block:
+    """The classifier of one (alpha, h) pair and its bands, h None for the
+    reals; raises DomainError for an alpha or h out of range.
+
+    The reals are the grid of step 0: the edge -2/h and the S_R point -1/h
+    sit at -inf, 1 + 0*p never vanishes, and A = -2(1-alpha) puts them on
+    branch (b) with thr = 1/(1-alpha) exactly.  What is left per scale is
+    fixed here: the bounds of a vanishing K, the branch label and whether
+    p near 0 is a boundary.
+    """
     abar = 1.0 - alpha
-    A = h * alpha - 2.0 * abar
-    edge = -2.0 / h
-    edge_band = _band(edge)
-    if A > 0.0:
-        branch = "a"
-        low = -2.0 / A
-        low_band = _band(low)
-        bounds_a = (low, 0.0)
+    if h is None:
+        if not 0.0 < alpha < 1.0:
+            raise DomainError("classify_r needs alpha in (0, 1)")
+        # lambda == 1/(1-alpha), where K vanishes, is exactly the upper
+        # stability boundary; p_tol -1.0 puts no p on the boundary
+        step, edge, sr, p_tol = 0.0, -math.inf, -math.inf, -1.0
+        label, k_bounds = "continuous", (1.0 / abar, math.inf)
+    elif not h > 0.0:
+        raise DomainError("grid step h must be positive")
+    elif not 0.0 < alpha <= 1.0:
+        raise DomainError("classify_hz needs alpha in (0, 1]")
     else:
-        branch = "b"
-        thr = 2.0 / -A if A < 0.0 else math.inf
-        thr_band = _band(thr)
-        below, above, between = (-math.inf, 0.0), (thr, math.inf), (0.0, thr)
+        step, edge, sr, p_tol = h, -2.0 / h, -1.0 / h, BOUNDARY_TOL
+        label, k_bounds = "", _NO_BOUNDS
+    A = step * alpha - 2.0 * abar
+    edge_band = _band(edge)
+    on_a = A > 0.0
+    # branch (a) is stable on (cut, 0), branch (b) off [0, cut]
+    cut = -2.0 / A if A else math.inf
+    cut_band = _band(cut)
+    branch = label or ("a" if on_a else "b")
+    bounds_a = (cut, 0.0)
+    below, above, between = (-math.inf, 0.0), (cut, math.inf), (0.0, cut)
 
     def classify(lam: float) -> StabilityVerdict:
         if not math.isfinite(lam):
@@ -141,37 +157,37 @@ def _hz(alpha: float, h: float) -> _Block:
         K = 1.0 - lam * abar
         if -BOUNDARY_TOL <= K <= BOUNDARY_TOL:
             return StabilityVerdict(REGRESSIVITY_VIOLATION, OUTSIDE, math.nan,
-                                    _NO_BOUNDS, branch)
+                                    k_bounds, branch)
         p = lam * alpha / K
-        if -BOUNDARY_TOL <= 1.0 + h * p <= BOUNDARY_TOL:
+        if -BOUNDARY_TOL <= 1.0 + step * p <= BOUNDARY_TOL:
             return StabilityVerdict(REGRESSIVITY_VIOLATION, IN_SR, p,
                                     _NO_BOUNDS, branch)
-        # lam is finite, so |lam - y| <= BOUNDARY_TOL * |lam| fails at an
-        # infinite threshold y
-        if branch == "a":
-            d = abs(lam - low)
-            bounds, on_edge = bounds_a, d <= low_band or d <= BOUNDARY_TOL * abs(lam)
+        if on_a:
+            bounds = bounds_a
         elif lam < 0.0:
-            bounds, on_edge = below, False
+            bounds = below
         else:
-            d = abs(lam - thr)
-            bounds = above if lam > thr else between
-            on_edge = d <= thr_band or d <= BOUNDARY_TOL * abs(lam)
+            bounds = above if lam > cut else between
+        # lam is finite, so |lam - y| <= BOUNDARY_TOL * |lam| fails at an
+        # infinite threshold y; on branch (b) a negative lam is more than
+        # cut >= 1 away from it
+        d = abs(lam - cut)
+        on_edge = d <= cut_band or d <= BOUNDARY_TOL * abs(lam)
         # p overflows when K is barely outside the tolerance; "< math.inf"
         # keeps an infinite p off the edge
         d = abs(p - edge)
         if (on_edge or -BOUNDARY_TOL <= lam <= BOUNDARY_TOL
-                or -BOUNDARY_TOL <= p <= BOUNDARY_TOL
+                or -p_tol <= p <= p_tol
                 or d <= edge_band or d <= BOUNDARY_TOL * abs(p) < math.inf):
             return StabilityVerdict(BOUNDARY, OUTSIDE, p, bounds, branch)
-        stable = edge < p < 0.0
+        # the sign of p, read from lam and K: p itself underflows to -0.0
+        # for a subnormal alpha
+        stable = edge < p and (lam < 0.0) != (K < 0.0)
         return StabilityVerdict(STABLE if stable else UNSTABLE,
                                 IN_SC if stable else OUTSIDE, p, bounds, branch)
 
-    return _Block(classify,
-                  _bands(0.0, 1.0 / abar if abar else math.inf,
-                         -2.0 / A if A else math.inf),
-                  _bands(0.0, edge, -1.0 / h))
+    return _Block(classify, _bands(0.0, 1.0 / abar if abar else math.inf, cut),
+                  _bands(0.0, edge, sr))
 
 
 def classify_hz(lam: float, alpha: float, h: float) -> StabilityVerdict:
@@ -181,55 +197,18 @@ def classify_hz(lam: float, alpha: float, h: float) -> StabilityVerdict:
     lambda in (-2/(h*alpha - 2(1-alpha)), 0).
     Branch (b), h <= 2(1/alpha - 1): stable iff lambda < 0 or
     lambda > 2/(2(1-alpha) - h*alpha).  Both are the real Hilger-circle
-    condition p in (-2/h, 0).
+    condition p in (-2/h, 0).  Raises TypeError for h None: the reals
+    are ``classify_r``'s.
     """
-    return _hz(alpha, h).classify(lam)
-
-
-@functools.lru_cache(maxsize=64)
-def _r(alpha: float) -> _Block:
-    """The continuous classifier of one alpha and its bands; raises
-    DomainError for an alpha out of range."""
-    if not 0.0 < alpha < 1.0:
-        raise DomainError("classify_r needs alpha in (0, 1)")
-    abar = 1.0 - alpha
-    thr = 1.0 / abar
-    thr_band = _band(thr)
-    below, above, between = (-math.inf, 0.0), (thr, math.inf), (0.0, thr)
-
-    def classify(lam: float) -> StabilityVerdict:
-        if not math.isfinite(lam):
-            raise DomainError("lambda must be finite")
-        K = 1.0 - lam * abar
-        if -BOUNDARY_TOL <= K <= BOUNDARY_TOL:
-            # lambda == 1/(1-alpha) is exactly the upper stability boundary
-            return StabilityVerdict(REGRESSIVITY_VIOLATION, OUTSIDE, math.nan,
-                                    above, "continuous")
-        p = lam * alpha / K
-        if lam < 0.0:
-            bounds = below
-        elif lam > thr:
-            bounds = above
-        else:
-            bounds = between
-        d = abs(lam - thr)
-        if (-BOUNDARY_TOL <= lam <= BOUNDARY_TOL or d <= thr_band
-                or d <= BOUNDARY_TOL * abs(lam)):
-            return StabilityVerdict(BOUNDARY, OUTSIDE, p, bounds, "continuous")
-        stable = lam < 0.0 or lam > thr
-        # the sign of p, read from lam and K: p itself underflows to -0.0
-        # for a subnormal alpha
-        assert stable == ((lam < 0.0) != (K < 0.0))
-        return StabilityVerdict(STABLE if stable else UNSTABLE,
-                                IN_SC if stable else OUTSIDE, p, bounds, "continuous")
-
-    return _Block(classify, _bands(0.0, thr), _bands(0.0))
+    if h is None:
+        raise TypeError("classify_hz needs a grid step h; classify_r classifies the reals")
+    return _block(alpha, h).classify(lam)
 
 
 def classify_r(lam: float, alpha: float) -> StabilityVerdict:
     """Classify the equation on the reals: stable iff lambda < 0 or
     lambda > 1/(1-alpha), equivalently p(alpha) < 0 with K nonzero."""
-    return _r(alpha).classify(lam)
+    return _block(alpha, None).classify(lam)
 
 
 def _p_column(lams: Sequence[float], alpha: float) -> list[float]:
@@ -258,7 +237,7 @@ def _classify_block(lams: Sequence[float], ps: Sequence[float], alpha: float,
     ``lo <= x < hi`` is the bisect-right test, so a run never crosses a
     cell edge whatever the row order; a NaN p fails it and is keyed.
     """
-    block = _r(alpha) if h is None else _hz(alpha, h)
+    block = _block(alpha, h)
     lam_bands, p_bands = block.lam_bands, block.p_bands
     lb = [-math.inf, *lam_bands, math.inf]
     pb = [-math.inf, *p_bands, math.inf]

@@ -6,6 +6,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from cfts.calculus import (
+    DERIV_TOL,
     _WG,
     _WGK,
     _XGK,
@@ -63,6 +64,11 @@ class TestDeltaDerivative:
         ts = TimeScale.of(IsolatedPoint(-1.0), ContinuousInterval(0.0, 1.0))
         f = Closure(lambda t: math.exp(t))
         assert delta_derivative(ts, f, 0.0) == pytest.approx(1.0, abs=1e-7)
+
+    def test_left_sided_at_the_left_dense_maximum(self):
+        # sigma(1) = 1 on [0, 1]: only the stencil over [1 - s, 1] fits
+        got = delta_derivative(TimeScale.interval(0.0, 1.0), SQUARE, 1.0)
+        assert abs(got - 2.0) <= DERIV_TOL
 
     def test_outside_kappa_domain(self):
         with pytest.raises(OutsideKappaDomain):

@@ -194,9 +194,14 @@ class TestConfigParsing:
          "(line 9, field 'horizon')"),
         ("solve-nonlinear", NONLINEAR_CONFIG.replace("affine 0.2 1", "cubic 1"),
          "(line 4, field 'rhs')"),
+        ("simulate", LINEAR_CONFIG.replace("constant 1", "cubic 1"), "(line 6, field 'u')"),
+        ("simulate", LINEAR_CONFIG.replace("constant 1", "constant"),
+         "(line 6, field 'u')"),
+        ("simulate", LINEAR_CONFIG.replace("constant 1", "sin 1 2"), "(line 6, field 'u')"),
     ], ids=["unterminated-header", "bad-header", "no-equals-sign", "key-outside-section",
             "no-scenarios", "bad-equation", "unknown-output", "non-integer-steps",
-            "bad-horizon", "bad-rhs"])
+            "bad-horizon", "bad-rhs", "unknown-forcing", "forcing-too-few-numbers",
+            "sin-without-phase"])
     def test_config_error_names_its_line(self, tmp_path, capsys, command, text, where):
         cfg = tmp_path / "bad.config"
         cfg.write_text(text)
@@ -594,7 +599,7 @@ class TestStabilityCommand:
             want, cells, band_rows = [], set(), 0
             for h in steps:
                 for a in (0.5, 0.75):
-                    block = stability._r(a) if h is None else stability._hz(a, h)
+                    block = stability._block(a, h)
                     for lam, p in zip(lams, stability._p_column(lams, a)):
                         v = classify_r(lam, a) if h is None else classify_hz(lam, a, h)
                         want.append(",".join(map(_fmt, verdict_row(lam, a, h, v))))
@@ -640,18 +645,20 @@ class TestStabilityCommand:
             assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
 
     def test_closed_stdout_pipe_exits_1_silently(self):
-        # Python's recipe for EPIPE: stdout goes to the null device, exit 1
+        # Python's recipe for EPIPE: stdout goes to the null device, exit 1;
+        # either table, a grid's or the reals', is far larger than a pipe's buffer
         env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(cfts.__file__)))
-        proc = subprocess.Popen(
-            [sys.executable, "-m", "cfts.cli", "stability", "--lambda=-5:6:4000",
-             "--alpha", "0.1:0.9:9", "--h", "0.25,0.5,1,2"],
-            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
-        assert proc.stdout.readline().startswith(b"lambda,alpha,h,")
-        proc.stdout.close()
-        err = proc.stderr.read()
-        proc.stderr.close()
-        assert proc.wait() == 1
-        assert err == b""
+        for sweep in (["--lambda=-5:6:4000", "--alpha", "0.1:0.9:9", "--h", "0.25,0.5,1,2"],
+                      ["--lambda=-5:5:200000", "--alpha", "0.5", "--continuous"]):
+            proc = subprocess.Popen(
+                [sys.executable, "-m", "cfts.cli", "stability", *sweep],
+                stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+            assert proc.stdout.readline().startswith(b"lambda,alpha,h,")
+            proc.stdout.close()
+            err = proc.stderr.read()
+            proc.stderr.close()
+            assert proc.wait() == 1, sweep
+            assert err == b"", sweep
 
     def test_error_in_a_later_block_leaves_no_output(self, tmp_path, capsys):
         out = tmp_path / "table.csv"

@@ -540,3 +540,24 @@ class TestConfigForcingsInClosedForm:
         assert cf_delta_left_prefix(I01, flat, mesh, order) == [0.0, 0.0, 0.0]
         assert cf_delta_right(I01, flat, 0.0, 1.0, order) == 0.0
         assert calls == []
+
+
+@pytest.mark.parametrize("call, error, match", [
+    (lambda: cf_delta_right(I01, constant(1.0), 1.0, 0.5, CFOrder(0.5)), DomainError,
+     "need t <= b"),
+    (lambda: cf_integral(TimeScale.interval(-1.0, 1.0), constant(1.0), -0.5, CFOrder(0.5)),
+     DomainError, "need t >= 0"),
+    (lambda: Sampled((0.0, 1.0), (1.0,)), ValueError, "equal length"),
+    (lambda: Sampled((0.0, 1.0, 1.0), (1.0, 2.0, 3.0)), ValueError, "strictly increasing"),
+    (lambda: ContinuousInterval(0.0, math.inf), ValueError, "must be finite"),
+    (lambda: I01.atoms(1.0, 0.5), ValueError, "need a <= b"),
+    # None is no grid step: the reals are classify_r's
+    (lambda: cfts.classify_hz(1.0, 0.5, None), TypeError, None),
+    (lambda: cfts.classify_hz(1.0, 0.5, 0.0), DomainError, "must be positive"),
+    (lambda: cfts.classify_hz(-1.0, 0.5, math.nan), DomainError, "must be positive"),
+], ids=["right-derivative-b-before-t", "integral-before-0", "sampled-unequal-lengths",
+        "sampled-repeated-point", "unbounded-interval", "atoms-b-before-a",
+        "classify-hz-no-step", "classify-hz-step-0", "classify-hz-step-nan"])
+def test_input_checks_raise_their_documented_type(call, error, match):
+    with pytest.raises(error, match=match):
+        call()

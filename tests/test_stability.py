@@ -474,7 +474,7 @@ def test_sorted_sweep_keys_only_the_row_that_ends_a_run(monkeypatch):
     lams = _sweep(-5.0, 6.0, 4000)
     ps = _p_column(lams, 0.5)
     for h in (1.0, None):
-        block = stability._r(0.5) if h is None else stability._hz(0.5, h)
+        block = stability._block(0.5, h)
         keys = [None if i % 2 or j % 2 or math.isnan(p) else (i, j)
                 for lam, p in zip(lams, ps)
                 for i, j in [(bisect(block.lam_bands, lam), bisect(block.p_bands, p))]]
