@@ -10,9 +10,10 @@ The quadrature is the adaptive Gauss--Kronrod G7/K15 rule of QUADPACK
 (``qk15`` with a global queue of subintervals; Piessens, de
 Doncker-Kapenga, Ueberhuber & Kahaner, QUADPACK, Springer 1983), written
 against the standard library.  ``kernel_march`` is the one recurrence
-that carries an exponential kernel: the exponential, the delta integral
-(rate 0), both fractional operators and the linear closed form run on it,
-with ``_u_run_integral`` as the one integral of a dense cell.  It is
+over the cells: the exponential, the delta integral (rate 0), both
+fractional operators and the right one's weights, the linear closed form
+and the stability average run on it, with ``_u_run_integral`` as the one
+integral of a dense cell.  It is
 columnar: a caller takes the cells of its mesh from ``_walk`` (the one
 owner of ``TimeScale.cells``, which keeps its last walk for the next march
 on the same mesh), builds its term column with one comprehension over
@@ -82,10 +83,11 @@ def _qk15(fn: Callable[[float], float], a: float, b: float) -> tuple[float, floa
         res_k += _WGK[j] * (f1 + f2)
         res_abs += _WGK[j] * (abs(f1) + abs(f2))
     mean = 0.5 * res_k
-    res_asc = _WGK[7] * abs(fc - mean) + sum(
-        w * (abs(f1 - mean) + abs(f2 - mean)) for w, (f1, f2) in zip(_WGK, pairs))
+    res_asc = 0.0  # a loop: sum() is compensated from Python 3.12 on
+    for w, (f1, f2) in zip(_WGK, pairs):
+        res_asc += w * (abs(f1 - mean) + abs(f2 - mean))
+    res_asc = (_WGK[7] * abs(fc - mean) + res_asc) * h
     res_abs *= h
-    res_asc *= h
     err = abs((res_k - res_g) * h)
     if res_asc and err:
         err = res_asc * min(1.0, (200.0 * err / res_asc) ** 1.5)
@@ -189,12 +191,6 @@ def delta_derivative(ts: TimeScale, f: Signal, t: float) -> float:
     i, t = ts._locate(t)
     seg = ts.segments[i]
     return _richardson_derivative(f.func, t, seg.lo, seg.hi)
-
-
-def _growth(rate: float, lo: float, hi: float, mu: float) -> float:
-    """e_rate(hi, lo) of one cell: 1 + mu*rate if it is scattered,
-    exp(rate*(hi - lo)) if it is dense."""
-    return 1.0 + mu * rate if mu else math.exp(rate * (hi - lo))
 
 
 Cell = tuple[float, float, float]

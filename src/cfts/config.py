@@ -31,7 +31,7 @@ quadrature; a ``poly`` forcing is a plain Closure integrated by quadrature.
 from __future__ import annotations
 
 import math
-from typing import Callable
+from typing import Callable, Iterable
 
 from ._record import record
 from .linear import _resolve_mesh
@@ -230,6 +230,14 @@ def _forcing_args(spec: tuple[str, ...], line: int | None) -> tuple[str, tuple]:
     return kind, _floats(spec[1:], line, "u")
 
 
+def _fsum(terms: Iterable[float]) -> float:
+    """math.fsum, exact on every Python (sum() is not); inf + -inf is NaN."""
+    try:
+        return math.fsum(terms)
+    except ValueError:
+        return math.nan
+
+
 def build_signal(spec: tuple[str, ...], mesh: tuple[float, ...] | None = None,
                  line: int | None = None) -> Signal:
     """Check a forcing's config tokens and build it; a sample table is laid
@@ -239,9 +247,9 @@ def build_signal(spec: tuple[str, ...], mesh: tuple[float, ...] | None = None,
         return constant(args[0])
     if kind == "poly":
         return Closure(
-            lambda t: sum(c * t ** k for k, c in enumerate(args)),
-            derivative=lambda t: sum(k * c * t ** (k - 1)
-                                     for k, c in enumerate(args) if k > 0))
+            lambda t: _fsum(c * t ** k for k, c in enumerate(args)),
+            derivative=lambda t: _fsum(k * c * t ** (k - 1)
+                                       for k, c in enumerate(args) if k > 0))
     if kind == "sin":
         return sine(*args)
     if mesh is None:

@@ -11,24 +11,22 @@ Both operators are ``calculus.kernel_march`` over the term column of the
 increments of f (``_increments``, one comprehension over the cells, which
 reads f once per cell end, by index when f is sampled on the mesh): at
 rate alpha_bar its S at each mesh point is the left operator
-(``cf_delta_left_prefix``; ``cf_delta_left`` is the march on (a, t)), and
-at rate 0, with each increment divided by the running weight e(hi, t), its
-S(b) over [t, b] is the right one.  The fractional integral of order alpha
-is the weighted average (1-alpha)/M * u(t) + alpha/M * integral_0^t u.
+(``cf_delta_left_prefix``; ``cf_delta_left`` is the march on (a, t)) and
+its e column over [t, b] the running weight e(hi, t); at rate 0, with
+each increment divided by that weight, its S(b) is the right one.  The
+fractional integral is (1-alpha)/M * u(t) + alpha/M * integral_0^t u.
 """
 
 from __future__ import annotations
 
 import math
-from itertools import accumulate
-from operator import le, mul
+from operator import le
 from typing import Sequence
 
 from ._record import record
 from .calculus import (
     Cell,
     _first_killed,
-    _growth,
     _u_run_integral,
     _walk,
     delta_integral,
@@ -186,11 +184,11 @@ def cf_delta_right(ts: TimeScale, f: Signal, t: float, b: float, order: CFOrder)
     """Right-sided fractional delta derivative of f over [t, b].
 
     At alpha = 0 this is exactly f(b) - f(t).  Otherwise the kernel is
-    evaluated backwards, e(t, sigma(tau)) = 1/e(sigma(tau), t): the kernel
-    march at rate 0 sums each cell's increment over the running weight
-    e(hi, t), so every factor 1 + mu*alpha_bar must be nonzero (else
-    NonRegressiveKernel), and a value outside the float range raises
-    DomainError.
+    evaluated backwards, e(t, sigma(tau)) = 1/e(sigma(tau), t): the running
+    weights e(hi, t) are the e column of the kernel march at rate alpha_bar,
+    and the march at rate 0 sums each cell's increment over its weight, so
+    every factor 1 + mu*alpha_bar must be nonzero (else NonRegressiveKernel),
+    and a value outside the float range raises DomainError.
     """
     t, b = ts.snap(t), ts.snap(b)
     if b < t:
@@ -200,7 +198,7 @@ def cf_delta_right(ts: TimeScale, f: Signal, t: float, b: float, order: CFOrder)
     rate = order.alpha_bar
     cells, ends = _walk(ts, (t, b))
     # e_{alpha_bar}(hi, t) of every cell; a zero one ends the walk there
-    weights = list(accumulate([_growth(rate, *cell) for cell in cells], mul))
+    weights = [e for e, _ in kernel_march(cells, ends, rate, [0.0] * len(cells))]
     zero = weights.index(0.0) if 0.0 in weights else len(cells)
     increments = _increments(ts, f, cells[:zero + 1], ends[:zero + 2], rate, -math.inf)
     if zero < len(cells):

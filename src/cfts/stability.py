@@ -6,8 +6,8 @@ the real slice of the Hilger disc, p in (-2/h, 0); for the reals,
 Re p < 0, which in terms of lambda reads "lambda < 0 or
 lambda > 1/(1-alpha)".  The reals are the step-0 case of the one grid
 classifier: as h -> 0 the edge -2/h of the disc goes to -inf.  A windowed
-average of log|1 + mu*p|/mu provides finite-horizon numeric evidence for
-general hybrid scales.
+average of log|1 + mu*p|/mu, a sum on the kernel march, provides
+finite-horizon numeric evidence for general hybrid scales.
 
 Everything that depends only on (alpha, h) -- the validation, the branch,
 the thresholds, their bounds tuples and their bands -- is computed once
@@ -48,7 +48,7 @@ from bisect import bisect
 from collections.abc import Callable, Sequence
 from typing import NamedTuple
 
-from .calculus import _kills
+from .calculus import _first_killed, _walk, kernel_march
 from .errors import DomainError, NonRegressiveParameter
 from .timescale import TimeScale
 
@@ -271,22 +271,19 @@ def estimate_sc(ts: TimeScale, p: float, horizon: float | None = None) -> float:
     """Windowed average of the decay-rate integrand over [t_min, horizon].
 
     The integrand is log|1 + mu(t)*p| / mu(t) at scattered points and p at
-    dense points (its mu -> 0 limit).  A negative value is finite-horizon
-    evidence that p lies in the exponential-stability set; it is not a
-    proof, since the true criterion is a limit over an unbounded scale.
+    dense points (its mu -> 0 limit), summed on the kernel march at rate 0.
+    A negative value is finite-horizon evidence that p lies in the stability
+    set, not a proof: the true criterion is a limit over an unbounded scale.
     """
     t0 = ts.t_min
     T = ts.t_max if horizon is None else ts.snap(horizon)
     if T <= t0:
         raise DomainError("horizon must exceed the window start")
-    total = 0.0
-    for lo, hi, mu in ts.cells((t0, T)):
-        if mu:
-            factor = 1.0 + mu * p
-            if _kills(mu, p):
-                raise NonRegressiveParameter(
-                    f"1 + mu*p vanishes at t={lo!r}; the average is -inf")
-            total += math.log(abs(factor))
-        else:
-            total += p * (hi - lo)
-    return total / (T - t0)
+    cells, _ = _walk(ts, (t0, T))
+    k = _first_killed(cells, p)
+    if k < len(cells):
+        raise NonRegressiveParameter(
+            f"1 + mu*p vanishes at t={cells[k][0]!r}; the average is -inf")
+    terms = [math.log(abs(1.0 + mu * p)) if mu else p * (hi - lo)
+             for lo, hi, mu in cells]
+    return kernel_march(cells, (t0, T), 0.0, terms)[-1][1] / (T - t0)

@@ -27,7 +27,7 @@ from cfts.errors import (
     OutsideKappaDomain,
     QuadratureNonConvergence,
 )
-from cfts.signals import Closure, Sampled, constant, sine
+from cfts.signals import Closure, Sampled, as_signal, constant, sine
 from cfts.timescale import ContinuousInterval, IsolatedPoint, TimeScale, UniformGrid
 
 from .test_timescale import timescales
@@ -54,6 +54,15 @@ class TestDeltaDerivative:
         ts = TimeScale.interval(0.0, 6.0)
         f = Closure(lambda t: t * t, derivative=lambda t: 2.0 * t)
         assert delta_derivative(ts, f, 3.0) == 6.0
+        # a sine's derivative is itself a Closure, called as one
+        ts = TimeScale.interval(0.0, 1.0)
+        assert delta_derivative(ts, sine(1.0, 2.0, 0.0), 0.5) == 2.0 * math.cos(1.0)
+
+    def test_unconverged_extrapolation_returns_its_best_estimate(self):
+        # sin(1e7 t) turns faster than any step of the table resolves: no
+        # level meets DERIV_TOL, and the estimate of least change is kept
+        f = Closure(lambda t: math.sin(1e7 * t))
+        assert math.isfinite(delta_derivative(TimeScale.interval(0.0, 1.0), f, 0.5))
 
     def test_exponential_identity_on_half_grid(self):
         ts = TimeScale.grid(0.0, 0.5, 9)
@@ -204,6 +213,10 @@ def test_exp_solves_its_equation_at_scattered_points(ts, p):
             assert lhs == pytest.approx(rhs, rel=1e-12, abs=1e-13)
 
 
+def test_as_signal_holds_a_number_constant():
+    assert as_signal(2.5).func(7.0) == 2.5
+
+
 @settings(max_examples=100, deadline=None)
 @given(st.lists(st.floats(-10.0, 10.0), min_size=1, max_size=30, unique=True),
        st.floats(-11.0, 11.0), st.floats(-11.0, 11.0))
@@ -338,6 +351,10 @@ class TestClosedFormKernelIntegral:
         assert abs(delta_integral(ts, sine(amp, freq, phase), a, b) - want) <= 1e-13
         assert delta_integral(ts, constant(2.0), a, b) == pytest.approx(2.0 * (b - a),
                                                                       rel=1e-15)
+
+    def test_phase_out_of_float_range_raises(self):
+        with pytest.raises(OverflowError, match=r"\[1\.0, 2\.0\]"):
+            sine(1.0, 1e308, 0.0).kernel_integral(1.0, 2.0, -1.0)
 
     def test_steep_kernel_keeps_its_mass(self):
         # |p| d = 1e5: the kernel's mass 1/|p| sits within 1e-5 of hi

@@ -119,6 +119,10 @@ class TestConfigParsing:
         poly = build_signal(("poly", "1", "0", "2"))
         assert poly.func(3.0) == 1.0 + 2.0 * 9.0
         assert poly.derivative(3.0) == 12.0
+        # summed exactly, on every Python: 1e16 + 1 - 1e16 is 1
+        assert build_signal(("poly", "1e16", "1", "-1e16")).func(1.0) == 1.0
+        # terms that overflow to inf and -inf sum to NaN, as under +
+        assert math.isnan(build_signal(("poly", "0", "1e308", "-1e308")).func(10.0))
         sinus = build_signal(("sin", "2", "0.5", "0"))
         assert sinus.func(math.pi) == pytest.approx(2.0 * math.sin(0.5 * math.pi))
         table = build_signal(("samples", "1", "2", "4"), mesh=(0.0, 1.0, 2.0))

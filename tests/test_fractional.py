@@ -308,14 +308,14 @@ def test_only_timescale_knows_the_atom_format():
 
 
 def test_one_kernel_march():
-    # every exponential-kernel recurrence runs on calculus.kernel_march, over
-    # the cells of calculus._walk, the one owner of `.cells(`: a function
-    # that takes cells from it hands them to kernel_march.  The walks
-    # allowed besides it step differently: the classical explicit step
-    # (pinned figure bytes), the implicit Picard map, the slopes of the
-    # classical residual and the log-sum of the stability average
-    allowed = {"classical_trajectory", "classical_residual_mesh", "picard_solve",
-               "estimate_sc"}
+    # every exponential-kernel recurrence, and every product or sum over
+    # the cells, runs on calculus.kernel_march, over the cells of
+    # calculus._walk, the one owner of `.cells(`: a function that takes
+    # cells from it hands them to kernel_march.  The walks allowed besides
+    # it step differently: the classical explicit step (pinned figure
+    # bytes), the implicit Picard map and the slopes of the classical
+    # residual
+    allowed = {"classical_trajectory", "classical_residual_mesh", "picard_solve"}
     package = Path(cfts.__file__).parent
     walks = []
     for path in sorted(package.glob("*.py")):
@@ -395,6 +395,10 @@ class TestRightDerivative:
         with pytest.raises(DomainError):
             cf_delta_right(TimeScale.interval(0.0, 100.0),
                            Closure(math.sin, derivative=math.cos), 0.0, 100.0, CFOrder(0.9))
+        # finite weights, but increments near 1e308 sum past the float range
+        with pytest.raises(DomainError, match="leaves the float range"):
+            cf_delta_right(TimeScale.integers(0, 10), Closure(lambda t: 1e308 * t * t),
+                           0.0, 10.0, CFOrder(0.3))
 
 
 class TestFractionalIntegral:
