@@ -278,19 +278,24 @@ def cmd_stability(lams, alphas, hs, continuous: bool, out_path: str | None) -> i
 
     Every block's classifier is built, and so its alpha and h checked,
     before the output is opened, so an error leaves no file and no stdout.
-    Each row is the bytes that ``_fmt`` gives for ``verdict_row``.  Each
-    block is classified by its cells (``stability._classify_block``): only
-    the rows near a cut point and the first row of each cell call the
-    classifier, and each distinct verdict is formatted once per block.
-    Each lambda is formatted once per sweep, and each p_alpha once per
-    (lambda, alpha): p_alpha does not depend on h, so the first block of
-    an alpha computes and formats its p column and later blocks reuse it.
+    Each row is the bytes that ``_fmt`` gives for ``verdict_row``: the
+    lambda, a head (alpha, h, status, mechanism), p_alpha and a tail (the
+    two boundary values), held in one flat list of four slots per lambda
+    that each block writes as one join.  The lambda column is formatted
+    once per sweep and each alpha's p column once, each by one ``%``
+    ("%.17g" gives the bytes of ``_fmt``, nan, inf and -0 included):
+    p_alpha does not depend on h, so later blocks of an alpha reuse it.
+    Each block is classified by its cells (``stability._classify_block``)
+    into verdict runs; each verdict's head and tail are formatted once per
+    block and laid into a run's slots by one slice assignment each.
     """
     blocks = ([(alpha, None) for alpha in alphas] if continuous
               else [(alpha, h) for h in hs for alpha in alphas])
     for alpha, h in blocks:
         _block(alpha, h)
-    lam_strs = [f"{lam:.17g}" for lam in lams]
+    n = len(lams)
+    flat = [""] * (4 * n)
+    flat[0::4] = ("%.17g\n" * n % tuple(lams)).splitlines()
     p_cols: dict[float, tuple[list[float], list[str]]] = {}
     with (open(out_path, "w", newline="") if out_path
           else contextlib.nullcontext(sys.stdout)) as fh:
@@ -299,15 +304,21 @@ def cmd_stability(lams, alphas, hs, continuous: bool, out_path: str | None) -> i
             mid = f",{_fmt(alpha)},{'' if h is None else _fmt(h)},"
             if alpha not in p_cols:
                 ps = _p_column(lams, alpha)
-                p_cols[alpha] = ps, [f"{p:.17g}" for p in ps]
+                p_cols[alpha] = ps, ("%.17g\n" * n % tuple(ps)).splitlines()
             ps, p_strs = p_cols[alpha]
-            verdicts, index = _classify_block(lams, ps, alpha, h)
-            # each row is lam_s + head + p_s + tail of its verdict
+            flat[2::4] = p_strs
+            verdicts, runs = _classify_block(lams, ps, alpha, h)
             parts = [(f"{mid}{v.status},{v.mechanism},",
                       f",{_fmt(v.boundary_values[0])},{_fmt(v.boundary_values[1])}\n")
                      for v in verdicts]
-            fh.write("".join([f"{lam_s}{head}{p_s}{tail}" for lam_s, p_s, (head, tail)
-                              in zip(lam_strs, p_strs, map(parts.__getitem__, index))]))
+            # rows [r, s) share the head and tail of their verdict
+            r = 0
+            for s, k in runs:
+                head, tail = parts[k]
+                flat[4 * r + 1:4 * s:4] = [head] * (s - r)
+                flat[4 * r + 3:4 * s:4] = [tail] * (s - r)
+                r = s
+            fh.write("".join(flat))
     return 0
 
 

@@ -37,7 +37,9 @@ verdict of the first row of its (lambda-region, p-region) cell; every
 row inside a band, or with p NaN, is classified on its own.  The rows
 are walked in runs of one cell, and only the row that leaves the
 previous row's cell is looked up, so a sorted sweep pays a few lookups
-per block and any other order stays exact.
+per block and any other order stays exact.  A block is returned as those
+runs, (stop, verdict index) pairs, so that the table lays out each run's
+verdict columns with one slice assignment instead of one string per row.
 """
 
 from __future__ import annotations
@@ -220,15 +222,19 @@ def _p_column(lams: Sequence[float], alpha: float) -> list[float]:
 
 
 def _classify_block(lams: Sequence[float], ps: Sequence[float], alpha: float,
-                    h: float | None) -> tuple[list[StabilityVerdict], list[int]]:
+                    h: float | None) -> tuple[list[StabilityVerdict], list[tuple[int, int]]]:
     """Classify the lambdas of one (alpha, h) block (h None: the reals) by
     their cells; ``ps`` is ``_p_column(lams, alpha)``.
 
-    Returns the distinct verdicts and, per row, the index of its verdict.
-    A row inside a band, or with p NaN, gets its own ``classify_hz`` /
-    ``classify_r`` call; every other row shares the verdict of the first
-    row of its cell.  Every field but p_alpha is the row's own; its
-    p_alpha is ``ps[row]``.
+    Returns the distinct verdicts and their runs, a list of
+    (stop, verdict index): each run is the rows from the previous stop (0
+    for the first) up to ``stop``.  The stops strictly increase and end at
+    ``len(lams)``, and adjacent runs have different verdicts, so a sorted
+    sweep is a handful of runs and the caller lays out each run's columns
+    at once instead of row by row.  A row inside a band, or with p NaN,
+    gets its own ``classify_hz`` / ``classify_r`` call and its own run;
+    every other row shares the verdict of the first row of its cell.
+    Every field but p_alpha is the row's own; its p_alpha is ``ps[row]``.
 
     The rows are walked in runs: while a row lies in the bounds of the
     previous row's cell it joins that cell with two chained comparisons,
@@ -242,12 +248,13 @@ def _classify_block(lams: Sequence[float], ps: Sequence[float], alpha: float,
     lb = [-math.inf, *lam_bands, math.inf]
     pb = [-math.inf, *p_bands, math.inf]
     verdicts: list[StabilityVerdict] = []
-    index: list[int] = []
+    runs: list[tuple[int, int]] = []
     # (i, j) -> (verdict index, lambda bounds, p bounds) of the cell
     cells: dict[tuple[int, int] | None, tuple[int, float, float, float, float]] = {}
     nan = math.nan
     k, lo, hi, plo, phi = -1, nan, nan, nan, nan
-    for lam, p in zip(lams, ps):
+    # the row number as a third column: cheaper per row than enumerate
+    for lam, p, r in zip(lams, ps, range(len(lams))):
         if not (lo <= lam < hi and plo <= p < phi):
             i, j = bisect(lam_bands, lam), bisect(p_bands, p)
             key = None if i & 1 or j & 1 or p != p else (i, j)
@@ -262,9 +269,14 @@ def _classify_block(lams: Sequence[float], ps: Sequence[float], alpha: float,
                                 else classify_hz(lam, alpha, h))
                 if key:
                     cells[key] = cell
+            # a keyed row has left its predecessor's cell, and no two cells
+            # share a verdict, so it starts a run
+            if r:
+                runs.append((r, k))
             k, lo, hi, plo, phi = cell
-        index.append(k)
-    return verdicts, index
+    if lams:
+        runs.append((len(lams), k))
+    return verdicts, runs
 
 
 def estimate_sc(ts: TimeScale, p: float, horizon: float | None = None) -> float:

@@ -158,6 +158,13 @@ class TestEstimateSc:
         want = (-0.5 + math.log(0.5)) / 2.0
         assert estimate_sc(ts, -0.5) == pytest.approx(want, rel=1e-12)
 
+    def test_window_away_from_zero(self):
+        # the two-part average shifted by 2: the window is [t_min, t_max],
+        # so the dense part weighs hi - lo and the mean divides by T - t0
+        ts = TimeScale.of(ContinuousInterval(2.0, 3.0), IsolatedPoint(4.0))
+        want = (-0.5 + math.log(0.5)) / 2.0
+        assert estimate_sc(ts, -0.5) == pytest.approx(want, rel=1e-12)
+
     def test_non_regressive_raises(self):
         with pytest.raises(NonRegressiveParameter):
             estimate_sc(TimeScale.integers(0, 10), -1.0)
@@ -399,11 +406,20 @@ def _edge_lams(alpha, h, exponents):
     return [lam for lam in out if math.isfinite(lam)]
 
 
+def _run_index(runs):
+    """The verdict index of each row of a block, from its (stop, index) runs."""
+    index, r = [], 0
+    for s, k in runs:
+        index += [k] * (s - r)
+        r = s
+    return index
+
+
 def _assert_block_matches_rows(lams, alpha, h):
     ps = _p_column(lams, alpha)
     for step in ([h] if alpha == 1.0 else [h, None]):
-        verdicts, index = _classify_block(lams, ps, alpha, step)
-        for lam, p, k in zip(lams, ps, index):
+        verdicts, runs = _classify_block(lams, ps, alpha, step)
+        for lam, p, k in zip(lams, ps, _run_index(runs), strict=True):
             v = verdicts[k]
             want = _oracle_hz(lam, alpha, step) if step else _oracle_r(lam, alpha)
             assert _fields(*want) == _fields(v.status, v.mechanism, p, v.boundary_values,
@@ -508,8 +524,44 @@ def test_shuffled_block_matches_the_per_row_classifier(monkeypatch):
     for alpha, h in ((0.5, 1.0), (0.5, None), (0.9, 0.25), (1.0, 2.0)):
         ps = _p_column(lams, alpha)
         calls = _count_bisects(monkeypatch)
-        verdicts, index = _classify_block(lams, ps, alpha, h)
+        verdicts, runs = _classify_block(lams, ps, alpha, h)
         assert len(calls) <= 2 * len(lams)
-        for lam, p, k in zip(lams, ps, index):
+        for lam, p, k in zip(lams, ps, _run_index(runs), strict=True):
             want = classify_r(lam, alpha) if h is None else classify_hz(lam, alpha, h)
             assert _verdict_fields(verdicts[k]._replace(p_alpha=p)) == _verdict_fields(want)
+
+
+def _assert_runs_partition_the_rows(lams, alpha, h):
+    verdicts, runs = _classify_block(lams, _p_column(lams, alpha), alpha, h)
+    stops = [s for s, _ in runs]
+    index = [k for _, k in runs]
+    assert all(r < s for r, s in zip([0, *stops], stops)), (alpha, h)
+    assert stops[-1] == len(lams), (alpha, h)
+    assert all(j != k for j, k in zip(index, index[1:])), (alpha, h)
+    # every verdict is some row's
+    assert set(index) == set(range(len(verdicts))), (alpha, h)
+
+
+def test_runs_partition_the_rows():
+    lams = _sweep(-5.0, 6.0, 4000)
+    shuffled = lams[:]
+    random.Random(7).shuffle(shuffled)
+    for alpha, h in ((0.5, 1.0), (0.5, None), (0.9, 0.25), (1.0, 2.0)):
+        for rows in (lams, lams[::-1], shuffled):
+            _assert_runs_partition_the_rows(rows, alpha, h)
+    for alpha, h in ((1.0, 5e-324), (0.5, 2.0), (0.9, 1e300), (0.3, 1e308)):
+        for step in ([h] if alpha == 1.0 else [h, None]):
+            _assert_runs_partition_the_rows(_edge_lams(alpha, h, range(-13, -5)), alpha, step)
+    assert _classify_block([], [], 0.5, 1.0) == ([], [])
+
+
+def test_stability_sweep_table_has_a_few_runs_per_block():
+    # the seed-11 benchmark table: 36 blocks of 4000 rows each, every one
+    # laid out in at most 5 runs
+    off = random.Random(11).uniform(0.0, 0.01)
+    lams = _sweep(-5.0 + off, 6.0 + off, 4000)
+    for alpha in _sweep(0.1, 0.9, 9):
+        ps = _p_column(lams, alpha)
+        for h in (0.25, 0.5, 1.0, 2.0):
+            _, runs = _classify_block(lams, ps, alpha, h)
+            assert len(runs) <= 5, (alpha, h, len(runs))
