@@ -8,7 +8,10 @@ reproduces the three bundled demonstration scenarios as CSV data plus an
 optional plot script.  ``simulate`` and ``solve-nonlinear`` share one
 pipeline: parse the config, solve every job and check that it is finite,
 and only then create the output directory and write, so that an error
-leaves no directory, no file and no stdout line behind.
+leaves no directory, no file and no stdout line behind.  A scenario's
+verdict file is written by ``cmd_stability``: it is the ``stability``
+table of the scenario's lambda, its alphas below 1 and its scale (the
+step of a scale that is one grid, else the reals).
 
 CSV columns are fixed (trajectories: t,x,residual; verdicts: lambda,alpha,
 h,status,mechanism,p_alpha,threshold_low,threshold_high), values are
@@ -58,14 +61,7 @@ from .linear import (
     solve_linear_trajectory,
 )
 from .nonlinear import NonlinearCFProblem, picard_solve, residual_nonlinear_mesh
-from .stability import (
-    StabilityVerdict,
-    _block,
-    _classify_block,
-    _p_column,
-    classify_hz,
-    classify_r,
-)
+from .stability import _block, _classify_block, _p_column
 from .signals import value
 from .timescale import ContinuousInterval, UniformGrid
 
@@ -77,9 +73,7 @@ VERDICT_HEADER = ("lambda", "alpha", "h", "status", "mechanism", "p_alpha",
                   "threshold_low", "threshold_high")
 
 
-def _fmt(v) -> str:
-    if isinstance(v, str):
-        return v
+def _fmt(v: float) -> str:
     return f"{v:.17g}"
 
 
@@ -101,8 +95,9 @@ def _trajectory_rows(t_strings, xs, residuals) -> str:
 
 
 def _linear_trajectory(scn: Scenario, alpha: float):
-    """Solve one linear job: the trajectory, its residual column, and the
-    verdict row when the scenario asks for one (alpha < 1) else None."""
+    """Solve one linear job: the trajectory, its residual column, and,
+    when the scenario asks for a verdict and alpha < 1, the (alpha, h)
+    block of its verdict table (h None for the reals), else None."""
     if alpha == 1.0:
         traj = classical_trajectory(scn.ts, scn.lam, scn.u, scn.x0,
                                     horizon=scn.horizon, steps=scn.steps)
@@ -111,8 +106,13 @@ def _linear_trajectory(scn: Scenario, alpha: float):
         return traj, resid, None
     prob = LinearCFProblem(scn.ts, scn.lam, scn.u, scn.x0, CFOrder(alpha))
     traj = solve_linear_trajectory(prob, horizon=scn.horizon, steps=scn.steps)
-    verdict = _scenario_verdict(scn, alpha) if "verdict" in scn.outputs else None
-    return traj, residual_linear_mesh(prob, traj, traj.mesh), verdict
+    block = None
+    if "verdict" in scn.outputs:
+        segs = scn.ts.segments
+        h = segs[0].step if len(segs) == 1 and isinstance(segs[0], UniformGrid) else None
+        _block(alpha, h)  # a bad alpha raises before anything is written
+        block = alpha, h
+    return traj, residual_linear_mesh(prob, traj, traj.mesh), block
 
 
 def _nonlinear_trajectory(scn: Scenario, alpha: float):
@@ -181,20 +181,6 @@ def _require_finite(name: str, alpha: float, traj, residuals) -> None:
                               f"leaves the float range at t = {t:g}")
 
 
-def _scenario_verdict(scn: Scenario, alpha: float) -> tuple:
-    segs = scn.ts.segments
-    if len(segs) == 1 and isinstance(segs[0], UniformGrid):
-        h = segs[0].step
-        return verdict_row(scn.lam, alpha, h, classify_hz(scn.lam, alpha, h))
-    return verdict_row(scn.lam, alpha, None, classify_r(scn.lam, alpha))
-
-
-def verdict_row(lam: float, alpha: float, h: float | None,
-                v: StabilityVerdict) -> tuple:
-    return (lam, alpha, "" if h is None else h, v.status, v.mechanism,
-            v.p_alpha, v.boundary_values[0], v.boundary_values[1])
-
-
 def _run(config_path: str, out_dir: str, kind: str) -> int:
     """The pipeline of ``simulate`` (kind 'linear') and ``solve-nonlinear``
     (kind 'nonlinear'): solve and check every job, then write."""
@@ -224,7 +210,6 @@ def _run(config_path: str, out_dir: str, kind: str) -> int:
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     startup_kind = _LINEAR_STARTUP if linear else _NONLINEAR_STARTUP
-    summaries: dict[str, list] = {}
     t_mesh = None
     for scn, startup, jobs in runs:
         for alpha, traj, resid, summary in jobs:
@@ -233,15 +218,17 @@ def _run(config_path: str, out_dir: str, kind: str) -> int:
                 t_mesh, t_strings = traj.mesh, ["%.17g" % t for t in traj.mesh]
             _write_csv(out / f"{scn.name}_alpha{alpha_tag(alpha)}.csv",
                        TRAJECTORY_HEADER, _trajectory_rows(t_strings, traj.values, resid))
-            if summary is not None:
-                summaries.setdefault(scn.name, []).append(summary)
-    for name, rows in summaries.items():
+    for scn, _, jobs in runs:
+        summaries = [summary for *_, summary in jobs if summary is not None]
+        if not summaries:
+            continue
         if linear:
-            _write_csv(out / f"{name}_verdicts.csv", VERDICT_HEADER,
-                       "".join([",".join(map(_fmt, row)) + "\n" for row in rows]))
+            h = summaries[0][1]
+            cmd_stability([scn.lam], [alpha for alpha, _ in summaries], [h], h is None,
+                          str(out / f"{scn.name}_verdicts.csv"))
         else:
-            (out / f"{name}_report.txt").write_text("\n".join(rows) + "\n")
-            print("\n".join(rows))
+            (out / f"{scn.name}_report.txt").write_text("\n".join(summaries) + "\n")
+            print("\n".join(summaries))
     return 0
 
 
@@ -278,12 +265,12 @@ def cmd_stability(lams, alphas, hs, continuous: bool, out_path: str | None) -> i
 
     Every block's classifier is built, and so its alpha and h checked,
     before the output is opened, so an error leaves no file and no stdout.
-    Each row is the bytes that ``_fmt`` gives for ``verdict_row``: the
-    lambda, a head (alpha, h, status, mechanism), p_alpha and a tail (the
-    two boundary values), held in one flat list of four slots per lambda
-    that each block writes as one join.  The lambda column is formatted
-    once per sweep and each alpha's p column once, each by one ``%``
-    ("%.17g" gives the bytes of ``_fmt``, nan, inf and -0 included):
+    Each row is the lambda, a head (alpha, h, status, mechanism), p_alpha
+    and a tail (the two boundary values), each float as ``_fmt`` gives it
+    and h empty on the reals, held in one flat list of four slots per
+    lambda that each block writes as one join.  The lambda column is
+    formatted once per sweep and each alpha's p column once, each by one
+    ``%`` ("%.17g" gives the bytes of ``_fmt``, nan, inf and -0 included):
     p_alpha does not depend on h, so later blocks of an alpha reuse it.
     Each block is classified by its cells (``stability._classify_block``)
     into verdict runs; each verdict's head and tail are formatted once per

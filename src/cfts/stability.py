@@ -22,11 +22,13 @@ classified by the sign tests instead of being reported as a regressivity
 violation.
 
 A sweep classifies one (alpha, h) block by its cells.  The verdict
-changes only near a few cut points: in lambda 0, the pole 1/(1-alpha) and
-the threshold -2/A (A = h*alpha - 2(1-alpha)); in p 0, the edge -2/h and
-the S_R point -1/h (on the reals, the grid of step 0, the edge and the
-S_R point lie at -inf and the threshold -2/A is the pole).  Each finite
-cut c gets the band c +- 1e3 * BOUNDARY_TOL * max(1, |c|), and
+changes only near a few cut points: in lambda 0 and the threshold -2/A
+(A = h*alpha - 2(1-alpha)); in p 0, the edge -2/h and the S_R point -1/h
+(on the reals, the grid of step 0, the edge and the S_R point lie at
+-inf and the threshold -2/A is the pole 1/(1-alpha)).  The pole needs no
+cut: a row whose K is within BOUNDARY_TOL of 0 has p NaN, and p changes
+sign across the pole, so its two sides lie in different p-regions.  Each
+finite cut c gets the band c +- 1e3 * BOUNDARY_TOL * max(1, |c|), and
 overlapping bands are merged.  A row whose lambda and p both lie outside
 every band is 1000 times further from each boundary test than the test
 reaches (|x - y| <= BOUNDARY_TOL * max(1, |y|) or BOUNDARY_TOL * |x|,
@@ -188,8 +190,7 @@ def _block(alpha: float, h: float | None) -> _Block:
         return StabilityVerdict(STABLE if stable else UNSTABLE,
                                 IN_SC if stable else OUTSIDE, p, bounds, branch)
 
-    return _Block(classify, _bands(0.0, 1.0 / abar if abar else math.inf, cut),
-                  _bands(0.0, edge, sr))
+    return _Block(classify, _bands(0.0, cut), _bands(0.0, edge, sr))
 
 
 def classify_hz(lam: float, alpha: float, h: float) -> StabilityVerdict:

@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 
 import cfts
 from cfts import cli, signals, stability
-from cfts.cli import VERDICT_HEADER, _fmt, main, verdict_row
+from cfts.cli import VERDICT_HEADER, main
 from cfts.config import ConfigError, build_rhs, build_signal, parse_config
 from cfts.signals import Closure, Sampled
 from cfts.stability import classify_hz, classify_r
@@ -59,6 +59,13 @@ window = 0 1
 alpha = 0.5
 outputs = trajectory residuals
 """
+
+
+def _verdict_line(lam, alpha, h, v):
+    """One verdict table row, field by field (h empty on the reals)."""
+    row = (lam, alpha, "" if h is None else h, v.status, v.mechanism, v.p_alpha,
+           *v.boundary_values)
+    return ",".join(x if isinstance(x, str) else f"{x:.17g}" for x in row)
 
 
 def _read(path):
@@ -572,7 +579,7 @@ class TestStabilityCommand:
                  ["--h", "0.5,1,3"], [(a, h) for h in (0.5, 1.0, 3.0) for a in alphas],
                  grid)):
             want = ",".join(VERDICT_HEADER) + "\n" + "".join(
-                ",".join(map(_fmt, verdict_row(lam, a, h, classify(lam, a, h)))) + "\n"
+                _verdict_line(lam, a, h, classify(lam, a, h)) + "\n"
                 for a, h in points for lam in lams)
             out = tmp_path / "table.csv"
             argv = ["stability", lam_flag, "--alpha", "0.5,0.75", *flags]
@@ -606,16 +613,15 @@ class TestStabilityCommand:
                     block = stability._block(a, h)
                     for lam, p in zip(lams, stability._p_column(lams, a)):
                         v = classify_r(lam, a) if h is None else classify_hz(lam, a, h)
-                        want.append(",".join(map(_fmt, verdict_row(lam, a, h, v))))
+                        want.append(_verdict_line(lam, a, h, v))
                         i, j = bisect(block.lam_bands, lam), bisect(block.p_bands, p)
                         if i % 2 or j % 2 or math.isnan(p):
                             band_rows += 1
                         else:
                             cells.add((a, h, i, j))
             with monkeypatch.context() as m:
-                for mod in (cli, stability):
-                    for fn in ("classify_hz", "classify_r"):
-                        m.setattr(mod, fn, counted(fn))
+                for fn in ("classify_hz", "classify_r"):
+                    m.setattr(stability, fn, counted(fn))
                 calls.clear()
                 assert main(["stability", "--lambda=-6:6:13", "--alpha", "0.5,0.75",
                              *flags]) == 0
@@ -910,6 +916,26 @@ class TestPathBytes:
         got = {f.name: hashlib.sha256(f.read_bytes()).hexdigest()
                for f in (tmp_path / "out").iterdir()}
         assert got == PATH_SHA256
+
+    def test_verdict_file_is_the_stability_table_of_its_scale(self, tmp_path, capsys):
+        # one grid is classified on its step, one interval and a hybrid
+        # scale on the reals; alpha = 1 has no verdict row
+        dense = ("[scenario dense]\nsegment = interval 0 2\nequation = linear\n"
+                 "lambda = 3\nu = constant 1\nx0 = 0\nalpha = 0.4 0.8 1\n"
+                 "horizon = time 2\noutputs = verdict\n")
+        for name, text, argv in (
+                ("demo", LINEAR_CONFIG.replace("0.25 0.5", "0.25 0.5 1"),
+                 ["--lambda=0.2", "--alpha", "0.25,0.5", "--h", "1"]),
+                ("dense", dense, ["--lambda=3", "--alpha", "0.4,0.8", "--continuous"]),
+                ("hyb", HYBRID_SINE_CONFIG,
+                 ["--lambda=-0.5", "--alpha", "0.3,0.7", "--continuous"])):
+            cfg = tmp_path / f"{name}.config"
+            cfg.write_text(text)
+            assert main(["simulate", str(cfg), "--out", str(tmp_path / name)]) == 0
+            assert main(["stability", *argv]) == 0
+            table = capsys.readouterr().out
+            assert len(table.splitlines()) == 3
+            assert (tmp_path / name / f"{name}_verdicts.csv").read_bytes() == table.encode()
 
     def test_each_sample_is_read_once(self, tmp_path, monkeypatch):
         # every signals.value call is counted, at each of its bindings; the

@@ -59,6 +59,16 @@ class TestContractionCheck:
         assert max_contractive_window(0.5, 0.5) == pytest.approx(3.0)
         assert max_contractive_window(2.0, 0.5) == pytest.approx(0.0)
 
+    def test_memoryless_order_window(self):
+        # at alpha = 0 q = L whatever the window: every window or none
+        assert max_contractive_window(0.5, 0.0) == math.inf
+        assert max_contractive_window(1.0, 0.0) == 0.0
+        p = _prob(TimeScale.integers(0, 1), lambda t, x: math.sin(x), 1.0,
+                  0, 1, 0.0, 0.0)
+        with pytest.raises(NotContractive) as err:
+            picard_solve(p)
+        assert err.value.max_window == 0.0
+
 
 class TestPicard:
     def test_zero_rhs_fixed_immediately(self):

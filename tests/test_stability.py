@@ -447,7 +447,8 @@ def test_block_cells_match_the_per_row_classifier_at_every_edge():
             lams += [rng.uniform(-50.0, 50.0) for _ in range(40)]
             rng.shuffle(lams)
             _assert_block_matches_rows(lams, alpha, h)
-    for alpha, h in ((1.0, 5e-324), (0.5, 2.0), (0.9, 1e300), (0.3, 1e308)):
+    # h = 7e8 merges the p-bands of -1/h and -2/h with the band of 0
+    for alpha, h in ((1.0, 5e-324), (0.5, 2.0), (0.9, 1e300), (0.3, 1e308), (0.5, 7e8)):
         _assert_block_matches_rows(_edge_lams(alpha, h, range(-13, -5)), alpha, h)
 
 
