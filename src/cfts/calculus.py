@@ -347,11 +347,14 @@ def _first_killed(cells: Sequence[Cell], p: float) -> int:
 def exp_ts(ts: TimeScale, p: float, t: float, t0: float) -> float:
     """Time-scale exponential e_p(t, t0) for a constant p: the kernel march's
     product of 1 + mu*p over the scattered points of [t0, t) and exp(p*len)
-    over its dense runs; t < t0 goes through the reciprocal.  On a step-h
-    grid this is (1 + h*p) ** ((t - t0)/h)."""
+    over its dense runs; t < t0 goes through the reciprocal (DomainError
+    outside the float range).  On a step-h grid: (1 + h*p) ** ((t - t0)/h)."""
     t, t0 = ts.snap(t), ts.snap(t0)
     if t < t0:
-        return 1.0 / exp_ts(ts, p, t0, t)
+        back = exp_ts(ts, p, t0, t)
+        if not back or math.isinf(1.0 / back):
+            raise DomainError(f"e_p({t}, {t0}) = 1/e_p({t0}, {t}) leaves the float range")
+        return 1.0 / back
     cells, _ = _walk(ts, (t0, t))
     k = _first_killed(cells, p)
     if k < len(cells):

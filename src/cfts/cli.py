@@ -224,7 +224,7 @@ def _run(config_path: str, out_dir: str, kind: str) -> int:
             continue
         if linear:
             h = summaries[0][1]
-            cmd_stability([scn.lam], [alpha for alpha, _ in summaries], [h], h is None,
+            cmd_stability([scn.lam], [alpha for alpha, _ in summaries], [h],
                           str(out / f"{scn.name}_verdicts.csv"))
         else:
             (out / f"{scn.name}_report.txt").write_text("\n".join(summaries) + "\n")
@@ -260,24 +260,23 @@ def _parse_sweep(spec: str, flag: str) -> list[float]:
                       "lo:hi:count with count >= 1")
 
 
-def cmd_stability(lams, alphas, hs, continuous: bool, out_path: str | None) -> int:
+def cmd_stability(lams, alphas, hs, out_path: str | None) -> int:
     """Write the verdict table, one (h, alpha) block of rows at a time.
 
-    Every block's classifier is built, and so its alpha and h checked,
-    before the output is opened, so an error leaves no file and no stdout.
-    Each row is the lambda, a head (alpha, h, status, mechanism), p_alpha
-    and a tail (the two boundary values), each float as ``_fmt`` gives it
-    and h empty on the reals, held in one flat list of four slots per
-    lambda that each block writes as one join.  The lambda column is
-    formatted once per sweep and each alpha's p column once, each by one
-    ``%`` ("%.17g" gives the bytes of ``_fmt``, nan, inf and -0 included):
-    p_alpha does not depend on h, so later blocks of an alpha reuse it.
-    Each block is classified by its cells (``stability._classify_block``)
-    into verdict runs; each verdict's head and tail are formatted once per
-    block and laid into a run's slots by one slice assignment each.
+    Every block's classifier is built, and so its alpha and h checked, before
+    the output is opened, so an error leaves no file and no stdout.  Each row
+    is the lambda, a head (alpha, h, status, mechanism), p_alpha and a tail
+    (the two boundary values), each float as ``_fmt`` gives it and h empty on
+    the reals (h None), held in one flat list of four slots per lambda that
+    each block writes as one join.  The lambda column is formatted once per
+    sweep and each alpha's p column once, each by one ``%`` ("%.17g" gives the
+    bytes of ``_fmt``, nan, inf and -0 included): p_alpha does not depend on
+    h, so later blocks of an alpha reuse it.  Each block is classified by its
+    cells (``stability._classify_block``) into verdict runs; each verdict's
+    head and tail are formatted once per block and laid into a run's slots by
+    one slice assignment each.
     """
-    blocks = ([(alpha, None) for alpha in alphas] if continuous
-              else [(alpha, h) for h in hs for alpha in alphas])
+    blocks = [(alpha, h) for h in hs for alpha in alphas]
     for alpha, h in blocks:
         _block(alpha, h)
     n = len(lams)
@@ -471,8 +470,8 @@ def main(argv=None) -> int:
         elif args.command == "stability":
             lams = _parse_sweep(args.lam, "--lambda")
             alphas = _parse_sweep(args.alpha, "--alpha")
-            hs = _parse_sweep(args.h, "--h") if args.h is not None else []
-            code = cmd_stability(lams, alphas, hs, args.continuous, args.out)
+            hs = [None] if args.continuous else _parse_sweep(args.h, "--h")
+            code = cmd_stability(lams, alphas, hs, args.out)
         elif args.command == "solve-nonlinear":
             code = cmd_solve_nonlinear(args.config, args.out)
         else:

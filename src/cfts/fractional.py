@@ -3,7 +3,7 @@
 For an order ``alpha`` in [0, 1) the kernel rate is ``alpha_bar =
 alpha/(alpha - 1) <= 0`` and the left-sided derivative of f over [a, t] is
 
-    (M(alpha)/(1-alpha)) * integral_a^t  f^delta(tau) e_{alpha_bar}(t, sigma(tau)) dtau,
+    (1/(1-alpha)) * integral_a^t  f^delta(tau) e_{alpha_bar}(t, sigma(tau)) dtau,
 
 the Caputo--Fabrizio construction carried to an arbitrary time scale: the
 first-order delta derivative convolved with the time-scale exponential.
@@ -14,7 +14,7 @@ rate alpha_bar its S at each mesh point is the left operator
 (``cf_delta_left_prefix``; ``cf_delta_left`` is the march on (a, t)) and
 its e column over [t, b] the running weight e(hi, t); at rate 0, with
 each increment divided by that weight, its S(b) is the right one.  The
-fractional integral is (1-alpha)/M * u(t) + alpha/M * integral_0^t u.
+fractional integral is (1-alpha) * u(t) + alpha * integral_0^t u.
 """
 
 from __future__ import annotations
@@ -39,20 +39,14 @@ from .timescale import TimeScale, UniformGrid
 
 @record
 class CFOrder:
-    """Fractional order alpha in [0, 1) with normalization constant.
-
-    ``m_alpha`` defaults to 1, the choice that makes the fractional
-    integral's two weights sum to one.
-    """
+    """Fractional order alpha in [0, 1); the normalization M(alpha) is 1, and
+    any other constant M rescales: D_M = M * D and I_M = I / M."""
 
     alpha: float
-    m_alpha: float = 1.0
 
     def __post_init__(self):
         if not 0.0 <= self.alpha < 1.0:
             raise DomainError(f"order must satisfy 0 <= alpha < 1, got {self.alpha}")
-        if self.m_alpha <= 0.0:
-            raise DomainError("normalization m_alpha must be positive")
 
     @property
     def alpha_bar(self) -> float:
@@ -61,8 +55,8 @@ class CFOrder:
 
     @property
     def front_factor(self) -> float:
-        """M(alpha)/(1-alpha)."""
-        return self.m_alpha / (1.0 - self.alpha)
+        """1/(1-alpha)."""
+        return 1.0 / (1.0 - self.alpha)
 
 
 def _dense_weighted(ts: TimeScale, f: Signal, lo: float, hi: float, rate: float) -> float:
@@ -170,7 +164,7 @@ def cf_delta_left(ts: TimeScale, f: Signal, a: float, t: float, order: CFOrder) 
     At alpha = 0 this is exactly f(t) - f(a).  On a step-h grid it is the
     weighted backward sum
 
-        (M/(1-alpha)) * sum_k  h f^delta(kh) (1 + h*alpha_bar)^(t/h - k - 1),
+        (1/(1-alpha)) * sum_k  h f^delta(kh) (1 + h*alpha_bar)^(t/h - k - 1),
 
     with the usual 0**0 = 1 convention for a degenerate kernel.
     """
@@ -215,16 +209,14 @@ def cf_delta_right(ts: TimeScale, f: Signal, t: float, b: float, order: CFOrder)
 def cf_integral(ts: TimeScale, u: Signal, t: float, order: CFOrder) -> float:
     """Fractional delta integral of order alpha from 0 to t.
 
-    The affine combination ((1-alpha)/M) u(t) + (alpha/M) integral_0^t u;
-    with M = 1 the weights average the function and its first-order
-    integral.
+    The affine combination (1-alpha) u(t) + alpha integral_0^t u: the
+    weights average the function and its first-order integral.
     """
     if not 0.0 < order.alpha < 1.0:
         raise DomainError("fractional integral needs alpha in (0, 1)")
     t = ts.snap(t)
     if t < 0.0:
         raise DomainError("fractional integral starts at 0; need t >= 0")
-    w = 1.0 / order.m_alpha
-    return ((1.0 - order.alpha) * w * value(u, ts, t)
-            + order.alpha * w * delta_integral(ts, u, 0.0, t))
+    return ((1.0 - order.alpha) * value(u, ts, t)
+            + order.alpha * delta_integral(ts, u, 0.0, t))
 

@@ -138,8 +138,8 @@ def _block(alpha: float, h: float | None) -> _Block:
         # stability boundary; p_tol -1.0 puts no p on the boundary
         step, edge, sr, p_tol = 0.0, -math.inf, -math.inf, -1.0
         label, k_bounds = "continuous", (1.0 / abar, math.inf)
-    elif not h > 0.0:
-        raise DomainError("grid step h must be positive")
+    elif not 0.0 < h < math.inf:
+        raise DomainError(f"grid step h must be {'finite' if h > 0.0 else 'positive'}")
     elif not 0.0 < alpha <= 1.0:
         raise DomainError("classify_hz needs alpha in (0, 1]")
     else:
@@ -288,6 +288,8 @@ def estimate_sc(ts: TimeScale, p: float, horizon: float | None = None) -> float:
     A negative value is finite-horizon evidence that p lies in the stability
     set, not a proof: the true criterion is a limit over an unbounded scale.
     """
+    if not math.isfinite(p):
+        raise DomainError(f"p must be finite, got {p!r}")
     t0 = ts.t_min
     T = ts.t_max if horizon is None else ts.snap(horizon)
     if T <= t0:

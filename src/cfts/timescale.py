@@ -191,21 +191,20 @@ def _normalize(segments: Iterable[Segment]) -> tuple[Segment, ...]:
 
 @record
 class TimeScale:
-    """An ordered union of disjoint segments within a bounded window.
+    """An ordered union of disjoint segments; its bounded window runs from
+    the first segment's lo to the last one's hi.
 
     Instances are immutable; every method is a pure function of its
     arguments, so concurrent use needs no synchronization.
     """
 
     segments: tuple[Segment, ...]
-    window: tuple[float, float]
 
     # -- construction -----------------------------------------------------
 
     @classmethod
     def of(cls, *segments: Segment) -> "TimeScale":
-        segs = _normalize(segments)
-        return cls(segs, (segs[0].lo, segs[-1].hi))
+        return cls(_normalize(segments))
 
     @classmethod
     def interval(cls, a: float, b: float) -> "TimeScale":
@@ -224,12 +223,16 @@ class TimeScale:
     # -- membership -------------------------------------------------------
 
     @property
+    def window(self) -> tuple[float, float]:
+        return self.t_min, self.t_max
+
+    @property
     def t_min(self) -> float:
-        return self.window[0]
+        return self.segments[0].lo
 
     @property
     def t_max(self) -> float:
-        return self.window[1]
+        return self.segments[-1].hi
 
     @cached_property
     def _los(self) -> tuple[float, ...]:

@@ -10,10 +10,10 @@ from __future__ import annotations
 import math
 
 
-def oracle_cf_delta_discrete(samples, h, alpha, a_index, t_index, m_alpha=1.0):
+def oracle_cf_delta_discrete(samples, h, alpha, a_index, t_index):
     """Literal kernel-weighted sum of forward differences on a uniform grid.
 
-    (M/(1-alpha)) * sum_{k=a}^{t-1} h * f_delta(k) * (1 + h*abar)^(t-k-1),
+    (1/(1-alpha)) * sum_{k=a}^{t-1} h * f_delta(k) * (1 + h*abar)^(t-k-1),
     with 0.0 ** 0 == 1.0 handling the degenerate kernel.
     """
     abar = alpha / (alpha - 1.0)
@@ -22,15 +22,15 @@ def oracle_cf_delta_discrete(samples, h, alpha, a_index, t_index, m_alpha=1.0):
     for k in range(a_index, t_index):
         fd = (samples[k + 1] - samples[k]) / h
         total += h * fd * base ** (t_index - k - 1)
-    return m_alpha / (1.0 - alpha) * total
+    return 1.0 / (1.0 - alpha) * total
 
 
-def oracle_cf_integral_discrete(u_samples, h, alpha, t_index, m_alpha=1.0):
-    """(1-alpha)/M * u(t) + alpha/M * sum of h*u over [0, t)."""
+def oracle_cf_integral_discrete(u_samples, h, alpha, t_index):
+    """(1-alpha) * u(t) + alpha * sum of h*u over [0, t)."""
     acc = 0.0
     for k in range(t_index):
         acc += h * u_samples[k]
-    return (1.0 - alpha) / m_alpha * u_samples[t_index] + alpha / m_alpha * acc
+    return (1.0 - alpha) * u_samples[t_index] + alpha * acc
 
 
 def oracle_linear_discrete(lam, alpha, h, u_samples, x0, k):
@@ -83,7 +83,7 @@ def oracle_classical(lam, h, u_samples, x0, k):
     return x
 
 
-def oracle_cf_delta_interval(f_prime, a, t, alpha, n=4096, m_alpha=1.0):
+def oracle_cf_delta_interval(f_prime, a, t, alpha, n=4096):
     """Midpoint-rule evaluation of the continuous kernel integral."""
     abar = alpha / (alpha - 1.0)
     width = t - a
@@ -91,7 +91,7 @@ def oracle_cf_delta_interval(f_prime, a, t, alpha, n=4096, m_alpha=1.0):
     for i in range(n):
         tau = a + width * (i + 0.5) / n
         total += f_prime(tau) * math.exp(abar * (t - tau)) * (width / n)
-    return m_alpha / (1.0 - alpha) * total
+    return 1.0 / (1.0 - alpha) * total
 
 
 def oracle_picard(mesh, dense_flags, f, x0, alpha, tol, start=None):

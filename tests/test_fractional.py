@@ -42,8 +42,6 @@ class TestCFOrder:
             CFOrder(1.0)
         with pytest.raises(DomainError):
             CFOrder(-0.1)
-        with pytest.raises(DomainError):
-            CFOrder(0.5, m_alpha=0.0)
 
 
 class TestLeftDerivative:
@@ -559,9 +557,25 @@ class TestConfigForcingsInClosedForm:
     (lambda: cfts.classify_hz(1.0, 0.5, None), TypeError, None),
     (lambda: cfts.classify_hz(1.0, 0.5, 0.0), DomainError, "must be positive"),
     (lambda: cfts.classify_hz(-1.0, 0.5, math.nan), DomainError, "must be positive"),
+    (lambda: cfts.classify_hz(-1.0, 0.5, math.inf), DomainError, "must be finite"),
+    (lambda: cfts.estimate_sc(TimeScale.grid(0, 1, 5), math.nan), DomainError,
+     "p must be finite"),
+    (lambda: cfts.estimate_sc(TimeScale.grid(0, 1, 5), -math.inf), DomainError,
+     "p must be finite"),
+    # e_p(t0, t) underflows to 0, so its reciprocal e_p(t, t0) has no float
+    (lambda: exp_ts(TimeScale.interval(0, 1000), -1000.0, 0.0, 1000.0), DomainError,
+     "float range"),
+    (lambda: exp_ts(TimeScale.grid(0, 1, 2000), -0.9999999, 0.0, 1999.0), DomainError,
+     "float range"),
+    # M(alpha) = 1 and the window of the segments are no fields
+    (lambda: CFOrder(0.5, m_alpha=1.0), TypeError, None),
+    (lambda: TimeScale(I01.segments, I01.window), TypeError, None),
 ], ids=["right-derivative-b-before-t", "integral-before-0", "sampled-unequal-lengths",
         "sampled-repeated-point", "unbounded-interval", "atoms-b-before-a",
-        "classify-hz-no-step", "classify-hz-step-0", "classify-hz-step-nan"])
+        "classify-hz-no-step", "classify-hz-step-0", "classify-hz-step-nan",
+        "classify-hz-step-inf", "estimate-sc-p-nan", "estimate-sc-p-minus-inf",
+        "exp-ts-backward-underflow-interval", "exp-ts-backward-underflow-grid",
+        "cforder-no-normalization", "timescale-no-window"])
 def test_input_checks_raise_their_documented_type(call, error, match):
     with pytest.raises(error, match=match):
         call()

@@ -29,10 +29,10 @@ CASES = {
     ContinuousInterval: ((0.0, 1.0), (0.0, 2.0)),
     UniformGrid: ((0.0, 0.5, 3), (0.0, 0.5, 4)),
     IsolatedPoint: ((2.0,), (3.0,)),
-    TimeScale: ((_TS.segments, _TS.window), (_GRID.segments, _GRID.window)),
+    TimeScale: ((_TS.segments,), (_GRID.segments,)),
     Closure: ((math.sin, math.cos, None), (math.sin, None, None)),
     Sampled: (((0.0, 1.0), (2.0, 3.0)), ((0.0, 1.0), (2.0, 4.0))),
-    CFOrder: ((0.5, 2.0), (0.5, 1.0)),
+    CFOrder: ((0.5,), (0.25,)),
     LinearCFProblem: ((_TS, -0.5, _U, 0.0, CFOrder(0.5)),
                       (_TS, -0.5, _U, 1.0, CFOrder(0.5))),
     NonlinearCFProblem: ((_GRID, _rhs, 0.2, 0.0, 3.0, 1.0, CFOrder(0.25)),
